@@ -85,7 +85,7 @@ class Tape:
         out = s.matmul(x.value)
 
         def backward(g):
-            return (s.transpose().matmul(g),)
+            return (s.matmul(g, transpose=True),)
 
         return self._emit(out, (x,), backward)
 

@@ -178,20 +178,31 @@ class Checkpoint:
         arrays, meta = read_array_container(path)
         if meta.get("format") != "flowcast-checkpoint-v1":
             raise DataError(f"{path}: not a flowcast checkpoint")
-        params = [arrays[f"p{i:04d}"] for i in range(len(meta["param_names"]))]
-        supports = []
-        for i in range(meta["n_supports"]):
-            rows, cols = arrays[f"s{i}_shape"]
-            supports.append(CsrMatrix(int(rows), int(cols), arrays[f"s{i}_indptr"],
-                                      arrays[f"s{i}_indices"], arrays[f"s{i}_data"]))
-        halo = arrays["halo_flags"].astype(bool)
-        scaler = FeatureScaler(np.asarray(meta["scaler"]["means"]),
-                               np.asarray(meta["scaler"]["stds"]),
-                               tuple(meta["scaler"]["feature_names"]))
-        return cls(Seq2SeqConfig(**meta["config"]), list(meta["param_names"]), params,
-                   scaler, list(meta["sensor_ids"]), halo, supports,
-                   tuple(meta["input_features"]), tuple(meta["output_features"]),
-                   int(meta["part_id"]), int(meta["trained_iterations"]))
+        try:
+            params = [arrays[f"p{i:04d}"] for i in range(len(meta["param_names"]))]
+            sensor_ids = list(meta["sensor_ids"])
+            supports = []
+            for i in range(meta["n_supports"]):
+                rows, cols = arrays[f"s{i}_shape"]
+                if not rows == cols == len(sensor_ids):
+                    raise DataError(f"{path}: support {i} is {rows}x{cols}, "
+                                    f"not sized to {len(sensor_ids)} sensors")
+                supports.append(CsrMatrix(int(rows), int(cols), arrays[f"s{i}_indptr"],
+                                          arrays[f"s{i}_indices"], arrays[f"s{i}_data"]))
+            halo = arrays["halo_flags"].astype(bool)
+            if halo.shape != (len(sensor_ids),):
+                raise DataError(f"{path}: {halo.size} halo flags for {len(sensor_ids)} sensors")
+            scaler = FeatureScaler(np.asarray(meta["scaler"]["means"]),
+                                   np.asarray(meta["scaler"]["stds"]),
+                                   tuple(meta["scaler"]["feature_names"]))
+            return cls(Seq2SeqConfig(**meta["config"]), list(meta["param_names"]), params,
+                       scaler, sensor_ids, halo, supports,
+                       tuple(meta["input_features"]), tuple(meta["output_features"]),
+                       int(meta["part_id"]), int(meta["trained_iterations"]))
+        except KeyError as exc:
+            raise DataError(f"{path}: corrupt checkpoint, missing {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{path}: corrupt checkpoint, {exc}") from exc
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from flowcast.cli import main
@@ -164,6 +165,40 @@ def test_missing_checkpoints_exit_2(pipeline, capsys, tmp_path):
                  "--set", f"paths.output_dir={partial}"])
     out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert code == 2 and "run train first" in out["message"]
+
+
+@pytest.mark.parametrize("corruption", ["missing_array", "index_out_of_range",
+                                        "wrong_sized_support", "short_halo_flags",
+                                        "unknown_config_key"])
+def test_corrupt_checkpoint_exits_3(pipeline, capsys, tmp_path, corruption):
+    root, config = pipeline
+    import shutil
+
+    from flowcast.data import read_array_container, write_array_container
+    from flowcast.sparse import CsrMatrix
+
+    out_dir = tmp_path / "out"
+    shutil.copytree(root / "out", out_dir)
+    path = out_dir / "checkpoints" / "part000.fcbin"
+    arrays, meta = read_array_container(path)
+    if corruption == "missing_array":
+        del arrays["p0001"]
+    elif corruption == "index_out_of_range":
+        arrays["s0_indices"][0] = -1
+    elif corruption == "short_halo_flags":
+        arrays["halo_flags"] = arrays["halo_flags"][:-1]
+    elif corruption == "unknown_config_key":
+        meta["config"]["bogus"] = 1
+    else:  # a well-formed support one node short of the sensor list
+        n = int(arrays["s0_shape"][0])
+        s = CsrMatrix(n, n, arrays["s0_indptr"], arrays["s0_indices"], arrays["s0_data"])
+        s = s.restrict(range(n - 1))
+        arrays.update(s0_indptr=s.indptr, s0_indices=s.indices, s0_data=s.data,
+                      s0_shape=np.array([n - 1, n - 1], dtype=np.int64))
+    write_array_container(path, arrays, meta)
+    code = main(["evaluate", "--config", config, "--set", f"paths.output_dir={out_dir}"])
+    out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert code == 3 and out["kind"] == "data" and "part000" in out["message"]
 
 
 def test_data_errors_exit_3(pipeline, capsys, tmp_path):

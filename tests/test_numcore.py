@@ -7,7 +7,7 @@ import pytest
 
 from flowcast.autodiff import Tape, Tensor, backward, elementwise, grads_for, spmm
 from flowcast.optim import AdamState, adam_step, clip_by_global_norm, global_norm
-from flowcast.sparse import CsrMatrix
+from flowcast.sparse import DENSE_MAX_CELLS, CsrMatrix
 
 from oracles import assert_grads_close, finite_difference
 
@@ -40,18 +40,74 @@ def test_matmul_matches_dense_oracle():
 
 
 def test_matmul_sparse_kernel_matches_dense_oracle():
-    # large low-density operands take the gather/segment-sum path
+    # the gather/segment-sum kernel, called directly: matmul only takes it
+    # for matrices above DENSE_MAX_CELLS
     rng = np.random.default_rng(19)
     for _ in range(5):
         dense = np.where(rng.uniform(size=(120, 90)) < 0.05, rng.normal(size=(120, 90)), 0.0)
         m = CsrMatrix.from_dense(dense)
-        assert not m._use_dense_kernel()
         x = rng.normal(size=(90, 7))
-        assert np.abs(m.matmul(x) - dense @ x).max() <= 1e-12
+        assert np.abs(m._gather_matmul(x) - dense @ x).max() <= 1e-12
         with_empty_rows = dense.copy()
         with_empty_rows[::3] = 0.0
         m2 = CsrMatrix.from_dense(with_empty_rows)
-        assert np.abs(m2.matmul(x) - with_empty_rows @ x).max() <= 1e-12
+        assert np.abs(m2._gather_matmul(x) - with_empty_rows @ x).max() <= 1e-12
+
+
+def test_matmul_above_dense_cap_uses_gather_kernel():
+    # one row past the cap: no dense copy is made, batched and transposed
+    # products are checked entry by entry against the triples
+    rows, cols = 2049, 2048
+    assert rows * cols > DENSE_MAX_CELLS >= cols * cols
+    rng = np.random.default_rng(23)
+    r, c = rng.integers(0, rows, size=3000), rng.integers(0, cols, size=3000)
+    m = CsrMatrix.from_triples(rows, cols, r, c, rng.normal(size=3000))
+    assert not m._use_dense_kernel()
+    assert CsrMatrix.identity(cols)._use_dense_kernel()
+    tr, tc, tv = m.triples()
+    x = rng.normal(size=(2, cols, 3))
+    want = np.zeros((2, rows, 3))
+    np.add.at(want, (slice(None), tr), tv[None, :, None] * x[:, tc])
+    assert np.abs(m.matmul(x) - want).max() <= 1e-12
+    g = rng.normal(size=(2, rows, 3))
+    want_t = np.zeros((2, cols, 3))
+    np.add.at(want_t, (slice(None), tc), tv[None, :, None] * g[:, tr])
+    assert np.abs(m.matmul(g, transpose=True) - want_t).max() <= 1e-12
+    assert m._dense is None
+
+
+def test_matmul_partition_sized_support_forward_and_backward():
+    # a partition-sized support (300 nodes, density ~0.1) on the dense path,
+    # batched, with the backward product of tape.spmm against dense S^T g
+    rng = np.random.default_rng(29)
+    dense = np.where(rng.uniform(size=(300, 300)) < 0.1, rng.uniform(size=(300, 300)), 0.0)
+    s = CsrMatrix.from_dense(dense)
+    assert s._use_dense_kernel()
+    x = rng.normal(size=(4, 300, 17))
+    assert np.abs(s.matmul(x) - np.einsum("ij,bjc->bic", dense, x)).max() <= 1e-12
+    tape = Tape()
+    leaf = Tensor(x)
+    weight = tape.constant(rng.normal(size=x.shape))
+    out = tape.hadamard(tape.spmm(s, leaf), weight)
+    # the target lies below every output, so d loss / d out = weight / size
+    loss = tape.mean_abs(out, tape.constant(np.full(x.shape, -1e3)))
+    (grad,) = grads_for(tape.backward(loss), [leaf])
+    want = np.einsum("ji,bjc->bic", dense, weight.value / x.size)
+    assert np.abs(grad - want).max() <= 1e-12
+
+
+def test_csr_rejects_corrupt_index_arrays():
+    with pytest.raises(ValueError):
+        CsrMatrix(2, 2, [0, 1, 2], [-1, 1], [1.0, 1.0])  # negative column
+    with pytest.raises(ValueError):
+        CsrMatrix(2, 2, [0, 1, 2], [0, 2], [1.0, 1.0])  # column == cols
+    with pytest.raises(ValueError):
+        CsrMatrix(3, 2, [0, 2, 1, 2], [0, 1], [1.0, 1.0])  # indptr decreases
+    with pytest.raises(ValueError):
+        CsrMatrix(2, 2, [1, 1, 2], [0, 1], [1.0, 1.0])  # indptr[0] != 0
+    with pytest.raises(ValueError):
+        CsrMatrix(2, 2, [0, 1, 1], [0, 1], [1.0, 1.0])  # indptr[-1] != nnz
+    CsrMatrix(2, 2, [0, 1, 2], [1, 0], [1.0, 1.0])  # well-formed
 
 
 def test_matmul_batched_matches_loop():
@@ -194,6 +250,32 @@ def test_composite_gradients_match_finite_differences():
 
     numeric = finite_difference(f, [t.value for t in leaves])
     assert_grads_close(analytic, numeric)
+
+
+def test_spmm_gradients_match_finite_differences_on_large_support():
+    # 70 x 70 = 4900 cells at density ~0.1: over 4096 cells and under
+    # density 0.15, where a density rule would pick the gather kernel
+    rng = np.random.default_rng(31)
+    s = CsrMatrix.from_dense(np.where(rng.uniform(size=(70, 70)) < 0.1,
+                                      rng.uniform(size=(70, 70)), 0.0))
+    leaves = [Tensor(rng.normal(size=(2, 70, 2))), Tensor(rng.normal(size=(6, 3)) * 0.5)]
+
+    def run_tape():
+        tape = Tape()
+        x = leaves[0]
+        sx = tape.spmm(s, x)
+        z = tape.concat([x, sx, tape.spmm(s, sx)])
+        h = tape.tanh(tape.matmul(z, leaves[1]))
+        return tape, tape.mean_abs(h, tape.constant(np.full(h.value.shape, 5.0)))
+
+    tape, loss = run_tape()
+    analytic = grads_for(tape.backward(loss), leaves)
+
+    def f():
+        _, l = run_tape()
+        return float(l.value)
+
+    assert_grads_close(analytic, finite_difference(f, [t.value for t in leaves]))
 
 
 def test_tape_is_deterministic():
