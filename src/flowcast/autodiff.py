@@ -119,10 +119,6 @@ class Tape:
     def sub_from_one(self, x: Tensor) -> Tensor:
         return self._emit(1.0 - x.value, (x,), lambda g: (-g,))
 
-    def scale(self, x: Tensor, c: float) -> Tensor:
-        c = float(c)
-        return self._emit(c * x.value, (x,), lambda g: (c * g,))
-
     def add_bias(self, x: Tensor, b: Tensor) -> Tensor:
         """Broadcast a [c] bias over the trailing axis of x."""
         if b.value.ndim != 1 or x.value.shape[-1] != b.value.shape[0]:
@@ -192,36 +188,6 @@ class Tape:
                 acc = grads.get(uid)
                 grads[uid] = gi if acc is None else acc + gi
         return grads
-
-
-# ----------------------------------------------------------------------
-# module-level operation surface
-# ----------------------------------------------------------------------
-
-_ELEMENTWISE = {
-    "sigmoid": lambda tape, x: tape.sigmoid(x),
-    "tanh": lambda tape, x: tape.tanh(x),
-    "hadamard": lambda tape, a, b: tape.hadamard(a, b),
-    "add": lambda tape, a, b: tape.add(a, b),
-    "sub_from_one": lambda tape, x: tape.sub_from_one(x),
-}
-
-
-def elementwise(tape: Tape, f: str, *args: Tensor) -> Tensor:
-    """Dispatch an elementwise primitive by name."""
-    try:
-        op = _ELEMENTWISE[f]
-    except KeyError:
-        raise ValueError(f"unknown elementwise op {f!r}") from None
-    return op(tape, *args)
-
-
-def spmm(tape: Tape, s: CsrMatrix, x: Tensor) -> Tensor:
-    return tape.spmm(s, x)
-
-
-def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
-    return tape.backward(loss)
 
 
 def grads_for(grads: dict[int, np.ndarray], params: Iterable[Tensor]) -> list[np.ndarray]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass, replace
@@ -155,6 +156,7 @@ def write_timeseries_csv(path, panel: TimeSeriesPanel) -> None:
 # ----------------------------------------------------------------------
 
 _MAGIC = b"FCBIN1\n"
+_DTYPES = ("float64", "int64", "uint8")  # all that Checkpoint.save writes
 
 
 def write_array_container(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
@@ -173,33 +175,34 @@ def write_array_container(path, arrays: dict[str, np.ndarray], meta: dict) -> No
 
 
 def read_array_container(path) -> tuple[dict[str, np.ndarray], dict]:
+    """Arrays and meta of a container; any malformed file raises DataError."""
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise DataError(f"{path}: not a flowcast binary container")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        end = os.fstat(fh.fileno()).st_size
+
+        def read_exactly(n: int, what: str) -> bytes:
+            # checked before reading: a corrupt length must not size an allocation
+            if n > end - fh.tell():
+                raise DataError(f"{path}: {what} is truncated "
+                                f"({end - fh.tell()} of {n} bytes)")
+            return fh.read(n)
+
+        (hlen,) = struct.unpack("<Q", read_exactly(8, "header length"))
+        try:
+            header = json.loads(read_exactly(hlen, "header").decode("utf-8"))
+            meta, entries = dict(header["meta"]), header["arrays"]
+            specs = [(str(e["name"]), str(e["dtype"]), [int(d) for d in e["shape"]])
+                     for e in entries]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DataError(f"{path}: corrupt container header ({exc!r})") from exc
         arrays = {}
-        for entry in header["arrays"]:
-            dtype = np.dtype(entry["dtype"])
-            count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-            buf = fh.read(count * dtype.itemsize)
-            arrays[entry["name"]] = np.frombuffer(buf, dtype=dtype).reshape(entry["shape"]).copy()
-    return arrays, header["meta"]
-
-
-def save_panel(path, panel: TimeSeriesPanel) -> None:
-    write_array_container(path, {
-        "timestamps": panel.timestamps.astype(np.int64),
-        "values": panel.values,
-        "mask": panel.mask.astype(np.uint8),
-    }, {"node_ids": panel.node_ids, "feature_names": list(panel.feature_names)})
-
-
-def load_panel(path) -> TimeSeriesPanel:
-    arrays, meta = read_array_container(path)
-    return TimeSeriesPanel(arrays["timestamps"].astype("datetime64[s]"),
-                           list(meta["node_ids"]), arrays["values"],
-                           arrays["mask"].astype(bool), tuple(meta["feature_names"]))
+        for name, dtype, shape in specs:
+            if dtype not in _DTYPES or min(shape, default=0) < 0:
+                raise DataError(f"{path}: array {name!r} has unsupported {dtype} {shape}")
+            buf = read_exactly(math.prod(shape) * np.dtype(dtype).itemsize, f"array {name!r}")
+            arrays[name] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+    return arrays, meta
 
 
 # ----------------------------------------------------------------------
@@ -378,18 +381,6 @@ def make_windows(panel: TimeSeriesPanel, lookback: int = 12, horizon: int = 12,
     x = np.stack([panel.values[s:s + lookback][:, :, in_idx] for s in starts])
     y = np.stack([panel.values[s + lookback:s + span][:, :, out_idx] for s in starts])
     return WindowedDataset(x, y, starts, in_names, out_names)
-
-
-def save_windows(path, ds: WindowedDataset) -> None:
-    write_array_container(path, {"x": ds.x, "y": ds.y, "starts": ds.starts},
-                     {"input_features": list(ds.input_features),
-                      "output_features": list(ds.output_features)})
-
-
-def load_windows(path) -> WindowedDataset:
-    arrays, meta = read_array_container(path)
-    return WindowedDataset(arrays["x"], arrays["y"], arrays["starts"],
-                           tuple(meta["input_features"]), tuple(meta["output_features"]))
 
 
 def slice_for_partition(panel: TimeSeriesPanel, bundle) -> TimeSeriesPanel:

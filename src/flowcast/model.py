@@ -36,30 +36,19 @@ class DiffusionSupports:
 
 
 def build_supports(graph: SensorGraph, filter_type: str = "random_walk",
-                   max_steps: int = 2, reverse_transition: str = "transpose") -> DiffusionSupports:
+                   max_steps: int = 2) -> DiffusionSupports:
     """Row-stochastic walk matrices; nodes with no outgoing mass keep zero rows.
 
-    reverse_transition="transpose" uses the in-degree-normalized transpose (a
-    true reverse walk); "as_written" normalizes the untransposed weights by
-    in-degree instead, for comparison.
+    The dual filter adds the in-degree-normalized transpose (a true reverse
+    walk).
     """
     if filter_type not in FILTER_TYPES:
         raise ValueError(f"unknown filter type {filter_type!r}")
     if graph.n_nodes == 0:
         raise ValueError("empty graph")
-    forward = graph.adjacency.row_normalized()
-    matrices = [forward]
+    matrices = [graph.adjacency.row_normalized()]
     if filter_type == "dual_random_walk":
-        if reverse_transition == "transpose":
-            matrices.append(graph.adjacency.transpose().row_normalized())
-        elif reverse_transition == "as_written":
-            in_deg = graph.adjacency.transpose().row_sums()
-            scale = np.where(in_deg != 0.0, 1.0 / np.where(in_deg == 0.0, 1.0, in_deg), 0.0)
-            r, c, v = graph.adjacency.triples()
-            matrices.append(CsrMatrix.from_triples(graph.n_nodes, graph.n_nodes,
-                                                   r, c, v * scale[r]))
-        else:
-            raise ValueError(f"unknown reverse transition {reverse_transition!r}")
+        matrices.append(graph.adjacency.transpose().row_normalized())
     return DiffusionSupports(matrices, max_steps)
 
 
@@ -185,20 +174,6 @@ def init_params(config: Seq2SeqConfig, seed: int) -> DcgruParams:
 # ----------------------------------------------------------------------
 
 
-def diffusion_conv(tape: Tape, supports: DiffusionSupports, z: Tensor,
-                   gate: GateParams) -> Tensor:
-    """Graph filter over z [batch, nodes, in_dim + units] -> [batch, nodes, units]."""
-    acc = None
-    for s, per_support in enumerate(gate.blocks):
-        cur = z
-        for d, block in enumerate(per_support):
-            if d > 0:
-                cur = tape.spmm(supports.matrices[s], cur)
-            term = tape.matmul(cur, block)
-            acc = term if acc is None else tape.add(acc, term)
-    return tape.add_bias(acc, gate.bias)
-
-
 def _diffused_stack(tape: Tape, supports: DiffusionSupports, z: Tensor) -> Tensor:
     """[z, S z, S^2 z, ...] per support, concatenated on the channel axis.
 
@@ -216,11 +191,17 @@ def _diffused_stack(tape: Tape, supports: DiffusionSupports, z: Tensor) -> Tenso
 
 
 def _gate_from_stack(tape: Tape, stack: Tensor, gate: GateParams) -> Tensor:
-    """Equivalent to diffusion_conv on the stack's source: the per-step blocks
-    are stacked row-wise so the whole filter is a single product."""
+    """The filter on a diffused stack: the per-step blocks are stacked
+    row-wise so the whole sum is a single product."""
     blocks = [block for per_support in gate.blocks for block in per_support]
     w = blocks[0] if len(blocks) == 1 else tape.concat(blocks, axis=0)
     return tape.add_bias(tape.matmul(stack, w), gate.bias)
+
+
+def diffusion_conv(tape: Tape, supports: DiffusionSupports, z: Tensor,
+                   gate: GateParams) -> Tensor:
+    """Graph filter over z [batch, nodes, in_dim + units] -> [batch, nodes, units]."""
+    return _gate_from_stack(tape, _diffused_stack(tape, supports, z), gate)
 
 
 def dcgru_cell(tape: Tape, x_t: Tensor, h_prev: Tensor, supports: DiffusionSupports,
@@ -231,8 +212,7 @@ def dcgru_cell(tape: Tape, x_t: Tensor, h_prev: Tensor, supports: DiffusionSuppo
     r = tape.sigmoid(_gate_from_stack(tape, xh_stack, cell.reset))
     u = tape.sigmoid(_gate_from_stack(tape, xh_stack, cell.update))
     xrh = tape.concat([x_t, tape.hadamard(r, h_prev)])
-    c = tape.tanh(_gate_from_stack(tape, _diffused_stack(tape, supports, xrh),
-                                   cell.candidate))
+    c = tape.tanh(diffusion_conv(tape, supports, xrh, cell.candidate))
     h = tape.add(tape.hadamard(u, h_prev), tape.hadamard(tape.sub_from_one(u), c))
     if not np.isfinite(h.value).all():
         raise NumericalError("numerical divergence")
@@ -297,42 +277,35 @@ def decode(tape: Tape, init_states: list[Tensor], supports: DiffusionSupports,
     return outputs
 
 
-def loss_mae(tape: Tape, pred: Tensor, target: Tensor) -> Tensor:
-    return tape.mean_abs(pred, target)
-
-
 def loss_multi(tape: Tape, pred: Tensor, target: Tensor) -> Tensor:
-    """Sum of per-feature MAEs over the trailing (speed, flow) axis."""
+    """Sum of per-feature MAEs over (speed, flow) channels interleaved on the
+    trailing axis: [..., 2] for one step, [..., horizon*2] for a whole decode."""
     if pred.value.shape != target.value.shape:
         raise ValueError("prediction and target shapes differ")
-    if pred.value.shape[-1] != 2:
-        raise ValueError("multioutput loss expects two trailing features")
+    if pred.value.shape[-1] % 2:
+        raise ValueError("multioutput loss expects interleaved (speed, flow) channels")
     total = None
-    for q in range(2):
-        term = tape.mean_abs(tape.select_channels(pred, [q]),
-                             tape.select_channels(target, [q]))
+    for feature in range(2):
+        idx = range(feature, pred.value.shape[-1], 2)
+        term = tape.mean_abs(tape.select_channels(pred, idx),
+                             tape.select_channels(target, idx))
         total = term if total is None else tape.add(total, term)
     return total
 
 
 def seq2seq_loss(tape: Tape, params: DcgruParams, supports: DiffusionSupports,
                  window: np.ndarray, targets: np.ndarray, epsilon: float = 0.0,
-                 rng: np.random.Generator | None = None,
-                 multioutput: bool = False) -> tuple[Tensor, list[Tensor]]:
-    """Encode, decode, and score one minibatch; returns (loss, per-step outputs)."""
+                 rng: np.random.Generator | None = None) -> tuple[Tensor, list[Tensor]]:
+    """Encode, decode, and score one minibatch; returns (loss, per-step outputs).
+
+    Two output features are scored with the joint loss, one with plain MAE.
+    """
     states = encode(tape, window, supports, params)
     outputs = decode(tape, states, supports, params, targets, epsilon, rng)
     pred = tape.concat(outputs)
     flat_target = tape.constant(np.concatenate(list(targets.transpose(1, 0, 2, 3)), axis=-1))
-    if multioutput:
-        q = params.config.output_dim
-        steps = params.config.horizon
-        loss = None
-        for feature in range(q):
-            idx = [t * q + feature for t in range(steps)]
-            term = tape.mean_abs(tape.select_channels(pred, idx),
-                                 tape.select_channels(flat_target, idx))
-            loss = term if loss is None else tape.add(loss, term)
+    if params.config.output_dim == 2:
+        loss = loss_multi(tape, pred, flat_target)
     else:
         loss = tape.mean_abs(pred, flat_target)
     return loss, outputs

@@ -62,9 +62,6 @@ class SubgraphBundle:
     def owned_global(self) -> np.ndarray:
         return self.local_to_global[~self.halo_flags]
 
-    def global_to_local(self) -> dict[int, int]:
-        return {int(g): i for i, g in enumerate(self.local_to_global)}
-
 
 # ----------------------------------------------------------------------
 # phase 0: symmetrization

@@ -213,12 +213,11 @@ class Checkpoint:
 def _batched_loss(params, supports, windows: WindowedDataset, batch_size: int) -> float:
     """Dataset MAE under inference-style decoding (epsilon = 0)."""
     total, count = 0.0, 0
-    multi = windows.y.shape[-1] == 2
     for lo in range(0, windows.n_samples, batch_size):
         hi = min(lo + batch_size, windows.n_samples)
         tape = Tape()
         loss, _ = seq2seq_loss(tape, params, supports, windows.x[lo:hi], windows.y[lo:hi],
-                               epsilon=0.0, multioutput=multi)
+                               epsilon=0.0)
         total += float(loss.value) * (hi - lo)
         count += hi - lo
     return total / count
@@ -242,7 +241,6 @@ def train_partition(bundle: SubgraphBundle, train_windows: WindowedDataset,
     init_rng, loop_rng = (np.random.default_rng(child) for child in seq.spawn(2))
     params = init_params(model_cfg, init_rng)
     state = AdamState.for_params(params.values())
-    multi = model_cfg.output_dim == 2
     milestones = config.resolved_milestones()
 
     report = TrainReport(part_id=bundle.part_id)
@@ -265,7 +263,7 @@ def train_partition(bundle: SubgraphBundle, train_windows: WindowedDataset,
             epsilon = scheduled_sampling_epsilon(iteration, config.sampling_tau)
             tape = Tape()
             loss, _ = seq2seq_loss(tape, params, supports, x[idx], y[idx],
-                                   epsilon=epsilon, rng=loop_rng, multioutput=multi)
+                                   epsilon=epsilon, rng=loop_rng)
             if not np.isfinite(loss.value):
                 raise NumericalError(
                     f"partition {bundle.part_id}: non-finite loss at epoch {epoch}, "

@@ -169,7 +169,8 @@ def test_missing_checkpoints_exit_2(pipeline, capsys, tmp_path):
 
 @pytest.mark.parametrize("corruption", ["missing_array", "index_out_of_range",
                                         "wrong_sized_support", "short_halo_flags",
-                                        "unknown_config_key"])
+                                        "unknown_config_key", "cut 8 bytes",
+                                        "first 12 bytes only"])
 def test_corrupt_checkpoint_exits_3(pipeline, capsys, tmp_path, corruption):
     root, config = pipeline
     import shutil
@@ -189,13 +190,17 @@ def test_corrupt_checkpoint_exits_3(pipeline, capsys, tmp_path, corruption):
         arrays["halo_flags"] = arrays["halo_flags"][:-1]
     elif corruption == "unknown_config_key":
         meta["config"]["bogus"] = 1
-    else:  # a well-formed support one node short of the sensor list
+    elif corruption == "wrong_sized_support":  # well-formed, one node short of the sensors
         n = int(arrays["s0_shape"][0])
         s = CsrMatrix(n, n, arrays["s0_indptr"], arrays["s0_indices"], arrays["s0_data"])
         s = s.restrict(range(n - 1))
         arrays.update(s0_indptr=s.indptr, s0_indices=s.indices, s0_data=s.data,
                       s0_shape=np.array([n - 1, n - 1], dtype=np.int64))
     write_array_container(path, arrays, meta)
+    if corruption == "cut 8 bytes":
+        path.write_bytes(path.read_bytes()[:-8])
+    elif corruption == "first 12 bytes only":
+        path.write_bytes(path.read_bytes()[:12])
     code = main(["evaluate", "--config", config, "--set", f"paths.output_dir={out_dir}"])
     out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert code == 3 and out["kind"] == "data" and "part000" in out["message"]

@@ -1,14 +1,15 @@
 """Panels: ingestion, imputation, splitting, scaling, windowing, synthesis."""
 
+import re
+
 import numpy as np
 import pytest
 
 from flowcast.data import (FEATURES, TICK, SyntheticScenario, TimeSeriesPanel,
                            congested_core_ticks, fit_scaler, generate_synthetic, impute,
-                           inverse_transform, load_panel, load_windows, make_windows,
-                           read_timeseries_csv, save_panel, save_windows,
-                           slice_for_partition, split, transform, transform_values,
-                           write_timeseries_csv)
+                           inverse_transform, make_windows, read_array_container,
+                           read_timeseries_csv, slice_for_partition, split, transform,
+                           transform_values, write_array_container, write_timeseries_csv)
 from flowcast.errors import DataError, NumericalError
 from flowcast.partition import PartitionAssignment, extract_subgraphs
 from flowcast.sparse import CsrMatrix
@@ -72,7 +73,33 @@ def test_binary_container_rejects_foreign_files(tmp_path):
     junk = tmp_path / "junk.fcbin"
     junk.write_bytes(b"PNG\x00 definitely not ours")
     with pytest.raises(DataError, match="container"):
-        load_panel(junk)
+        read_array_container(junk)
+
+    good = tmp_path / "good.fcbin"
+    write_array_container(good, {"v": np.arange(4.0)}, {"k": 1})
+    blob = good.read_bytes()
+    hlen = int.from_bytes(blob[7:15], "little")
+
+    def framed(header: bytes, payload: bytes = b"") -> bytes:
+        return blob[:7] + len(header).to_bytes(8, "little") + header + payload
+
+    faults = {
+        "cut 8 bytes": blob[:-8],
+        "first 12 bytes only": blob[:12],
+        "header not json": framed(b"{not json"),
+        "header lacks meta": framed(b'{"arrays": []}'),
+        "header lacks arrays": framed(b'{"meta": {}}'),
+        "float32 payload": framed(blob[15:15 + hlen].replace(b"float64", b"float32"),
+                                  blob[15 + hlen:]),
+        "header length past the end": blob[:7] + (1 << 62).to_bytes(8, "little") + blob[15:],
+        "shape past the end": framed(blob[15:15 + hlen].replace(b"[4]", b"[1099511627776]"),
+                                     blob[15 + hlen:]),
+    }
+    for name, data in faults.items():
+        bad = tmp_path / f"{name}.fcbin"
+        bad.write_bytes(data)
+        with pytest.raises(DataError, match=re.escape(str(bad))):
+            read_array_container(bad)
 
 
 def test_binary_containers_round_trip(tmp_path):
@@ -81,19 +108,26 @@ def test_binary_containers_round_trip(tmp_path):
     mask = rng.uniform(size=values.shape) < 0.2
     values[mask] = np.nan
     panel = make_panel(values, mask=mask)
-    save_panel(tmp_path / "p.fcbin", panel)
-    back = load_panel(tmp_path / "p.fcbin")
-    assert np.array_equal(back.timestamps, panel.timestamps)
-    assert np.array_equal(back.mask, panel.mask)
-    assert np.array_equal(back.values[~mask], panel.values[~mask])
+    arrays = {"timestamps": panel.timestamps.astype(np.int64), "values": panel.values,
+              "mask": panel.mask.astype(np.uint8)}
+    meta = {"node_ids": panel.node_ids, "feature_names": list(panel.feature_names)}
+    write_array_container(tmp_path / "p.fcbin", arrays, meta)
+    back, back_meta = read_array_container(tmp_path / "p.fcbin")
+    assert np.array_equal(back["timestamps"].astype("datetime64[s]"), panel.timestamps)
+    assert np.array_equal(back["mask"].astype(bool), panel.mask)
+    assert np.array_equal(np.isnan(back["values"]), mask)
+    assert np.array_equal(back["values"][~mask], panel.values[~mask])
+    assert back_meta == meta
 
     clean = make_panel(rng.normal(size=(30, 3, 2)))
     ds = make_windows(clean, 4, 2)
-    save_windows(tmp_path / "w.fcbin", ds)
-    back_ds = load_windows(tmp_path / "w.fcbin")
-    assert np.array_equal(back_ds.x, ds.x)
-    assert np.array_equal(back_ds.y, ds.y)
-    assert back_ds.input_features == ds.input_features
+    write_array_container(tmp_path / "w.fcbin", {"x": ds.x, "y": ds.y, "starts": ds.starts},
+                          {"input_features": list(ds.input_features)})
+    back, back_meta = read_array_container(tmp_path / "w.fcbin")
+    assert np.array_equal(back["x"], ds.x)
+    assert np.array_equal(back["y"], ds.y)
+    assert np.array_equal(back["starts"], ds.starts)
+    assert tuple(back_meta["input_features"]) == ds.input_features
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from flowcast.autodiff import Tape, Tensor, backward, elementwise, grads_for, spmm
+from flowcast.autodiff import Tape, Tensor, grads_for
 from flowcast.optim import AdamState, adam_step, clip_by_global_norm, global_norm
 from flowcast.sparse import DENSE_MAX_CELLS, CsrMatrix
 
@@ -144,23 +144,21 @@ def test_restrict_reorders_by_position():
 def test_spmm_identity_and_hand_example():
     tape = Tape()
     x = Tensor([[1.0], [2.0]])
-    assert np.array_equal(spmm(tape, CsrMatrix.identity(2), x).value, x.value)
+    assert np.array_equal(tape.spmm(CsrMatrix.identity(2), x).value, x.value)
     s = CsrMatrix.from_dense([[0.0, 1.0], [0.0, 0.0]])
-    assert spmm(tape, s, x).value.tolist() == [[2.0], [0.0]]
+    assert tape.spmm(s, x).value.tolist() == [[2.0], [0.0]]
     zero = CsrMatrix.from_triples(2, 2, [], [], [])
-    assert spmm(tape, zero, x).value.tolist() == [[0.0], [0.0]]
+    assert tape.spmm(zero, x).value.tolist() == [[0.0], [0.0]]
 
 
-def test_elementwise_examples_and_dispatch():
+def test_pointwise_primitive_examples():
     tape = Tape()
-    assert elementwise(tape, "sigmoid", Tensor(0.0)).value == 0.5
-    assert elementwise(tape, "tanh", Tensor(0.0)).value == 0.0
-    out = elementwise(tape, "hadamard", Tensor([2.0, 3.0]), Tensor([4.0, 5.0]))
+    assert tape.sigmoid(Tensor(0.0)).value == 0.5
+    assert tape.tanh(Tensor(0.0)).value == 0.0
+    out = tape.hadamard(Tensor([2.0, 3.0]), Tensor([4.0, 5.0]))
     assert out.value.tolist() == [8.0, 15.0]
-    assert elementwise(tape, "sub_from_one", Tensor([0.25])).value.tolist() == [0.75]
-    assert elementwise(tape, "add", Tensor([1.0]), Tensor([2.0])).value.tolist() == [3.0]
-    with pytest.raises(ValueError):
-        elementwise(tape, "relu", Tensor(0.0))
+    assert tape.sub_from_one(Tensor([0.25])).value.tolist() == [0.75]
+    assert tape.add(Tensor([1.0]), Tensor([2.0])).value.tolist() == [3.0]
     with pytest.raises(ValueError):
         tape.hadamard(Tensor([1.0, 2.0]), Tensor([1.0]))
 
@@ -175,13 +173,13 @@ def test_backward_square_and_sigmoid():
     tape = Tape()
     p = Tensor(3.0)
     loss = tape.mean_abs(tape.hadamard(p, p), tape.constant(0.0))
-    grads = backward(tape, loss)
+    grads = tape.backward(loss)
     assert grads[p.uid] == pytest.approx(6.0)
 
     tape = Tape()
     p = Tensor(0.0)
     loss = tape.mean_abs(tape.sigmoid(p), tape.constant(0.0))
-    assert backward(tape, loss)[p.uid] == pytest.approx(0.25)
+    assert tape.backward(loss)[p.uid] == pytest.approx(0.25)
 
 
 def test_backward_rejects_foreign_or_nonscalar_loss():
@@ -199,7 +197,7 @@ def test_gradient_accumulates_over_reused_tensor():
     p = Tensor([1.0, 2.0])
     loss = tape.mean_abs(tape.add(p, p), tape.constant(np.zeros(2)))
     # d/dp mean(|2p|) = 2 * sign(p) / 2
-    assert np.allclose(backward(tape, loss)[p.uid], [1.0, 1.0])
+    assert np.allclose(tape.backward(loss)[p.uid], [1.0, 1.0])
 
 
 def _composite_loss(params, s):
@@ -214,7 +212,8 @@ def _composite_loss(params, s):
     out = tape.matmul(mixed, Tensor(w2))
     picked = tape.select_channels(tape.concat([out, out]), [0, 1])
     target = tape.constant(np.full(picked.value.shape, 0.3))
-    return tape, tape.mean_abs(tape.scale(picked, 1.5), target)
+    scaled = tape.hadamard(picked, tape.constant(np.full(picked.value.shape, 1.5)))
+    return tape, tape.mean_abs(scaled, target)
 
 
 def test_composite_gradients_match_finite_differences():
@@ -239,7 +238,8 @@ def test_composite_gradients_match_finite_differences():
         out = tape.matmul(mixed, leaves[1])
         picked = tape.select_channels(tape.concat([out, out]), [0, 1])
         target = tape.constant(np.full(picked.value.shape, 0.3))
-        return tape, tape.mean_abs(tape.scale(picked, 1.5), target)
+        scaled = tape.hadamard(picked, tape.constant(np.full(picked.value.shape, 1.5)))
+        return tape, tape.mean_abs(scaled, target)
 
     tape, loss = run_tape()
     analytic = grads_for(tape.backward(loss), leaves)
