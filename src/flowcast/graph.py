@@ -240,16 +240,20 @@ def knn_candidates(meta: list[SensorMeta], k: int) -> set[tuple[int, int]]:
     n = len(ordered)
     lat = np.radians([m.latitude for m in ordered])
     lon = np.radians([m.longitude for m in ordered])
-    # pairwise haversine, vectorized over the full candidate matrix
-    dphi = lat[:, None] - lat[None, :]
-    dlam = lon[:, None] - lon[None, :]
-    a = np.sin(dphi / 2.0) ** 2 + np.cos(lat)[:, None] * np.cos(lat)[None, :] * np.sin(dlam / 2.0) ** 2
-    d = 2.0 * EARTH_RADIUS_MILES * np.arcsin(np.minimum(1.0, np.sqrt(a)))
+    cos_lat = np.cos(lat)
     pairs: set[tuple[int, int]] = set()
-    take = min(k, n - 1)
-    for i in range(n):
-        order = sorted((d[i, j], j) for j in range(n) if j != i)
-        pairs.update((i, j) for _, j in order[:take])
+    step = max(1, (1 << 18) // n)  # rows per block: 2 MB per temporary, linear memory in n
+    for lo in range(0, n, step):
+        rows = np.arange(lo, min(lo + step, n))
+        # pairwise haversine, vectorized over a block of rows
+        dphi = lat[rows, None] - lat[None, :]
+        dlam = lon[rows, None] - lon[None, :]
+        a = np.sin(dphi / 2.0) ** 2 + cos_lat[rows, None] * cos_lat[None, :] * np.sin(dlam / 2.0) ** 2
+        d = 2.0 * EARTH_RADIUS_MILES * np.arcsin(np.minimum(1.0, np.sqrt(a)))
+        # a stable sort breaks distance ties on ascending index; a node is never its own neighbor
+        d[rows - lo, rows] = np.inf
+        nearest = np.argsort(d, axis=1, kind="stable")[:, :min(k, n - 1)]
+        pairs.update((i, j) for i, row in zip(rows.tolist(), nearest.tolist()) for j in row)
     return pairs
 
 

@@ -4,6 +4,9 @@ The pipeline is the classic three-phase scheme: symmetrize the directed
 weights, coarsen by heavy-edge matching, partition the coarsest graph by
 greedy recursive bisection, then uncoarsen while refining with single-node
 FM moves (best-prefix rollback, so a pass never increases the edge cut).
+Refinement reads an n x k connectivity table (weight from each node into
+each part) that one bincount builds per pass; a move recomputes only the
+rows of the moved node's neighbors, as in Fiduccia-Mattheyses.
 
 Halo selection adds, per partition, nearby out-of-partition nodes and
 greedily thins them so no two kept halos are within the distance threshold.
@@ -244,17 +247,26 @@ def initial_partition(graph: SensorGraph, k: int, seed: int = 0,
 # ----------------------------------------------------------------------
 
 
-def _cut_value(adj, part) -> float:
-    cut = 0.0
-    for v in range(len(part)):
-        nbrs, ws = adj[v]
-        for u, w in zip(nbrs, ws):
-            if u > v and part[u] != part[v]:
-                cut += w
-    return cut
+def _cut_value(adj: CsrMatrix, part) -> float:
+    """Weight of the crossing entries (v, u > v), added one at a time in CSR order."""
+    r, c, w = adj.triples()
+    crossing = w[(c > r) & (part[r] != part[c])]
+    return float(np.cumsum(crossing)[-1]) if crossing.size else 0.0
 
 
-def _rebalance(adj, node_w, part, k, maxw) -> np.ndarray:
+def _connectivity(adj: CsrMatrix, part, k, rows) -> np.ndarray:
+    """conn[i, q]: the weight from node rows[i] into part q.
+
+    One bincount over the rows' CSR slices. bincount adds in input order, so
+    every cell is summed from 0.0 in CSR order, bit for bit as a scalar loop.
+    """
+    lens = adj.indptr[rows + 1] - adj.indptr[rows]
+    pos = np.repeat(adj.indptr[rows] - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+    slot = np.repeat(np.arange(rows.size) * k, lens) + part[adj.indices[pos]]
+    return np.bincount(slot, weights=adj.data[pos], minlength=rows.size * k).reshape(-1, k)
+
+
+def _rebalance(adj: CsrMatrix, node_w, part, k, maxw) -> np.ndarray:
     """Move nodes out of overweight parts until every part fits under maxw.
 
     Parts that cannot be repaired at this level (a single oversized coarse
@@ -269,38 +281,28 @@ def _rebalance(adj, node_w, part, k, maxw) -> np.ndarray:
             break
         p = max(over, key=lambda q: part_w[q])
         members = np.flatnonzero(part == p)
-        if members.size <= 1:
+        fits = part_w + node_w[members, None] <= maxw
+        fits[:, p] = False
+        if members.size <= 1 or not fits.any():
             stuck.add(p)
             continue
-        best = None  # (-gain, v, q)
-        for v in members:
-            nbrs, ws = adj[v]
-            gain_to = np.zeros(k)
-            internal = 0.0
-            for u, w in zip(nbrs, ws):
-                if part[u] == p:
-                    internal += w
-                else:
-                    gain_to[part[u]] += w
-            for q in range(k):
-                if q == p or part_w[q] + node_w[v] > maxw:
-                    continue
-                key = (-(gain_to[q] - internal), int(v), q)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            stuck.add(p)
-            continue
-        _, v, q = best
+        conn = _connectivity(adj, part, k, members)
+        best = int(np.argmax(np.where(fits, conn - conn[:, p:p + 1], -np.inf)))
+        v, q = int(members[best // k]), best % k
         part_w[p] -= node_w[v]
         part_w[q] += node_w[v]
         part[v] = q
     return part
 
 
-def _fm_pass(adj, node_w, part_in, k, maxw):
+def _fm_pass(adj: CsrMatrix, node_w, part_in, k, maxw):
     """One FM pass: greedy best-gain single-node moves, each node at most once,
     then rollback to the best prefix whose part weights satisfy the bound.
+
+    conn[v, q], the weight from v into part q, and the gains conn[v, q] -
+    conn[v, part[v]] are built once; moving v recomputes only the rows that
+    hold v. Each move is an argmax over the admissible (v, q) of the
+    row-major gain table, whose first maximum is the (-gain, v, q) tie-break.
 
     Returns (assignment, gain_applied); gain_applied >= 0 by construction.
     """
@@ -309,52 +311,44 @@ def _fm_pass(adj, node_w, part_in, k, maxw):
     part_w = np.bincount(part, weights=node_w, minlength=k)
     counts = np.bincount(part, minlength=k)
     slack = maxw + (node_w.max() if n else 0.0)
-    locked = np.zeros(n, dtype=bool)
-    moves: list[tuple[int, int, int]] = []
+    into = adj.transpose()  # row v lists the nodes whose rows hold v
+    conn = np.zeros((n, k))
+    gain = np.zeros((n, k))
+    linked = np.zeros((n, k), dtype=bool)  # some weight from v into another part q
+
+    def refresh(rows):
+        conn[rows] = _connectivity(adj, part, k, rows)
+        gain[rows] = conn[rows] - conn[rows, part[rows]][:, None]
+        linked[rows] = conn[rows] != 0.0
+        linked[rows, part[rows]] = False
+
+    refresh(np.arange(n))
+    unlocked = np.ones(n, dtype=bool)
+    moves: list[tuple[int, int]] = []
     cum = 0.0
     best_cum, best_len = 0.0, 0
     feasible_in = bool((part_w <= maxw).all())
     while True:
-        best = None  # (-gain, v, q)
-        for v in range(n):
-            if locked[v]:
-                continue
-            p = part[v]
-            if counts[p] <= 1:
-                continue
-            nbrs, ws = adj[v]
-            if nbrs.size == 0:
-                continue
-            internal = 0.0
-            external = np.zeros(k)
-            for u, w in zip(nbrs, ws):
-                if part[u] == p:
-                    internal += w
-                else:
-                    external[part[u]] += w
-            for q in np.flatnonzero(external):
-                if part_w[q] + node_w[v] > slack:
-                    continue
-                key = (-(external[q] - internal), v, int(q))
-                if best is None or key < best:
-                    best = key
-        if best is None:
+        movable = (unlocked & (counts[part] > 1))[:, None] & linked
+        admissible = movable & (part_w + node_w[:, None] <= slack)
+        if not admissible.any():
             break
-        neg_gain, v, q = best
+        v, q = divmod(int(np.argmax(np.where(admissible, gain, -np.inf))), k)
         p = part[v]
         part[v] = q
         part_w[p] -= node_w[v]
         part_w[q] += node_w[v]
         counts[p] -= 1
         counts[q] += 1
-        locked[v] = True
-        cum += -neg_gain
-        moves.append((v, p, q))
+        unlocked[v] = False
+        cum += gain[v, q]
+        moves.append((v, q))
+        refresh(into.indices[into.indptr[v]:into.indptr[v + 1]])
         prefix_ok = bool((part_w <= maxw).all()) or not feasible_in
         if prefix_ok and cum > best_cum:
             best_cum, best_len = cum, len(moves)
     out = part_in.copy()
-    for v, _, q in moves[:best_len]:
+    for v, q in moves[:best_len]:
         out[v] = q
     return out, best_cum
 
@@ -372,13 +366,14 @@ def refine_uncoarsen(levels: list[CoarseLevel], assignment: PartitionAssignment,
     part = assignment.part_of.copy()
     for idx in range(len(levels) - 1, -1, -1):
         lvl = levels[idx]
-        adj = _adjacency_lists(lvl.graph)
+        adj = lvl.graph.adjacency
         part = _rebalance(adj, lvl.node_weights, part, k, maxw)
+        cut = _cut_value(adj, part) if pass_log is not None else None
         for _ in range(_MAX_FM_PASSES):
-            before = _cut_value(adj, part)
             part, gain = _fm_pass(adj, lvl.node_weights, part, k, maxw)
             if pass_log is not None:
-                pass_log.append((lvl.level, before, _cut_value(adj, part)))
+                before, cut = cut, _cut_value(adj, part)
+                pass_log.append((lvl.level, before, cut))
             if gain <= 0.0:
                 break
         if idx > 0:

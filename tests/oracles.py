@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the library's own computation paths:
 finite differences for gradients, dense matrix algebra for sparse products
-and diffusion filters, and exhaustive enumeration for partition cuts.
+and diffusion filters, and exhaustive enumeration for partition cuts. The
+previous scalar FM refinement and kNN search are kept here too, as oracles
+for their vectorized replacements.
 """
 
 from __future__ import annotations
@@ -10,6 +12,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from flowcast.errors import DataError
+from flowcast.graph import EARTH_RADIUS_MILES, SensorMeta, canonical_order
+from flowcast.partition import _MAX_FM_PASSES, CoarseLevel, PartitionAssignment
 
 
 def finite_difference(f, arrays, step: float = 1e-5):
@@ -91,3 +97,188 @@ def cut_of_assignment(adjacency_dense, part_of):
     iu, ju, w = undirected_weights(adjacency_dense)
     part_of = np.asarray(part_of)
     return float(np.where(part_of[iu] != part_of[ju], w, 0.0).sum())
+
+
+# ----------------------------------------------------------------------
+# the previous scalar partition refinement and kNN search
+# ----------------------------------------------------------------------
+# Kept verbatim (bar names) as oracles: the library's table-driven FM pass,
+# rebalancing and argsort kNN must reproduce them bit for bit.
+
+
+def adjacency_lists(graph):
+    adj = graph.adjacency
+    return [
+        (adj.indices[adj.indptr[i]:adj.indptr[i + 1]],
+         adj.data[adj.indptr[i]:adj.indptr[i + 1]])
+        for i in range(graph.n_nodes)
+    ]
+
+
+def cut_value(adj, part) -> float:
+    cut = 0.0
+    for v in range(len(part)):
+        nbrs, ws = adj[v]
+        for u, w in zip(nbrs, ws):
+            if u > v and part[u] != part[v]:
+                cut += w
+    return cut
+
+
+def rebalance(adj, node_w, part, k, maxw) -> np.ndarray:
+    """Move nodes out of overweight parts until every part fits under maxw.
+
+    Parts that cannot be repaired at this level (a single oversized coarse
+    node, or no admissible destination) are left for the finer levels.
+    """
+    part = part.copy()
+    part_w = np.bincount(part, weights=node_w, minlength=k)
+    stuck: set[int] = set()
+    for _ in range(len(part)):
+        over = [int(p) for p in np.flatnonzero(part_w > maxw) if int(p) not in stuck]
+        if not over:
+            break
+        p = max(over, key=lambda q: part_w[q])
+        members = np.flatnonzero(part == p)
+        if members.size <= 1:
+            stuck.add(p)
+            continue
+        best = None  # (-gain, v, q)
+        for v in members:
+            nbrs, ws = adj[v]
+            gain_to = np.zeros(k)
+            internal = 0.0
+            for u, w in zip(nbrs, ws):
+                if part[u] == p:
+                    internal += w
+                else:
+                    gain_to[part[u]] += w
+            for q in range(k):
+                if q == p or part_w[q] + node_w[v] > maxw:
+                    continue
+                key = (-(gain_to[q] - internal), int(v), q)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            stuck.add(p)
+            continue
+        _, v, q = best
+        part_w[p] -= node_w[v]
+        part_w[q] += node_w[v]
+        part[v] = q
+    return part
+
+
+def fm_pass(adj, node_w, part_in, k, maxw):
+    """One FM pass: greedy best-gain single-node moves, each node at most once,
+    then rollback to the best prefix whose part weights satisfy the bound.
+
+    Returns (assignment, gain_applied); gain_applied >= 0 by construction.
+    """
+    n = len(part_in)
+    part = part_in.copy()
+    part_w = np.bincount(part, weights=node_w, minlength=k)
+    counts = np.bincount(part, minlength=k)
+    slack = maxw + (node_w.max() if n else 0.0)
+    locked = np.zeros(n, dtype=bool)
+    moves: list[tuple[int, int, int]] = []
+    cum = 0.0
+    best_cum, best_len = 0.0, 0
+    feasible_in = bool((part_w <= maxw).all())
+    while True:
+        best = None  # (-gain, v, q)
+        for v in range(n):
+            if locked[v]:
+                continue
+            p = part[v]
+            if counts[p] <= 1:
+                continue
+            nbrs, ws = adj[v]
+            if nbrs.size == 0:
+                continue
+            internal = 0.0
+            external = np.zeros(k)
+            for u, w in zip(nbrs, ws):
+                if part[u] == p:
+                    internal += w
+                else:
+                    external[part[u]] += w
+            for q in np.flatnonzero(external):
+                if part_w[q] + node_w[v] > slack:
+                    continue
+                key = (-(external[q] - internal), v, int(q))
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            break
+        neg_gain, v, q = best
+        p = part[v]
+        part[v] = q
+        part_w[p] -= node_w[v]
+        part_w[q] += node_w[v]
+        counts[p] -= 1
+        counts[q] += 1
+        locked[v] = True
+        cum += -neg_gain
+        moves.append((v, p, q))
+        prefix_ok = bool((part_w <= maxw).all()) or not feasible_in
+        if prefix_ok and cum > best_cum:
+            best_cum, best_len = cum, len(moves)
+    out = part_in.copy()
+    for v, _, q in moves[:best_len]:
+        out[v] = q
+    return out, best_cum
+
+
+def refine_uncoarsen(levels: list[CoarseLevel], assignment: PartitionAssignment,
+                     imbalance: float = 0.05,
+                     pass_log: list | None = None) -> PartitionAssignment:
+    """Project the coarsest assignment down to level 0, FM-refining at each level.
+
+    pass_log, when given, collects (level, cut_before, cut_after) per FM pass.
+    """
+    k = assignment.k
+    total = float(levels[0].node_weights.sum())
+    maxw = math.ceil(total / k) * (1.0 + imbalance)
+    part = assignment.part_of.copy()
+    for idx in range(len(levels) - 1, -1, -1):
+        lvl = levels[idx]
+        adj = adjacency_lists(lvl.graph)
+        part = rebalance(adj, lvl.node_weights, part, k, maxw)
+        for _ in range(_MAX_FM_PASSES):
+            before = cut_value(adj, part)
+            part, gain = fm_pass(adj, lvl.node_weights, part, k, maxw)
+            if pass_log is not None:
+                pass_log.append((lvl.level, before, cut_value(adj, part)))
+            if gain <= 0.0:
+                break
+        if idx > 0:
+            part = part[lvl.match_map]
+    return PartitionAssignment(part, k)
+
+
+def knn_candidates(meta: list[SensorMeta], k: int) -> set[tuple[int, int]]:
+    """Directed (i, j) pairs: each node's k nearest others by great-circle miles.
+
+    Indices refer to the canonical (sensor_id-sorted) order. Ties break on
+    ascending node index, so the result is a pure function of the metadata set.
+    """
+    if not meta:
+        raise DataError("empty graph")
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    ordered = canonical_order(meta)
+    n = len(ordered)
+    lat = np.radians([m.latitude for m in ordered])
+    lon = np.radians([m.longitude for m in ordered])
+    # pairwise haversine, vectorized over the full candidate matrix
+    dphi = lat[:, None] - lat[None, :]
+    dlam = lon[:, None] - lon[None, :]
+    a = np.sin(dphi / 2.0) ** 2 + np.cos(lat)[:, None] * np.cos(lat)[None, :] * np.sin(dlam / 2.0) ** 2
+    d = 2.0 * EARTH_RADIUS_MILES * np.arcsin(np.minimum(1.0, np.sqrt(a)))
+    pairs: set[tuple[int, int]] = set()
+    take = min(k, n - 1)
+    for i in range(n):
+        order = sorted((d[i, j], j) for j in range(n) if j != i)
+        pairs.update((i, j) for _, j in order[:take])
+    return pairs

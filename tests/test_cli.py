@@ -46,12 +46,24 @@ congestion_windows = 7-9,16-18
 """
 
 
-@pytest.fixture(scope="module")
-def pipeline(tmp_path_factory):
-    root = tmp_path_factory.mktemp("pipeline")
+def _write_config(root):
     config = root / "config.ini"
     config.write_text(CONFIG_TEMPLATE.format(root=root))
     return root, str(config)
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    return _write_config(tmp_path_factory.mktemp("pipeline"))
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A config whose output directory already holds graph, bundles and checkpoints."""
+    root, config = _write_config(tmp_path_factory.mktemp("trained"))
+    for command in ("synth", "build-graph", "partition", "train"):
+        assert main([command, "--config", config]) == 0, command
+    return root, config
 
 
 def run_ok(capsys, *argv):
@@ -113,8 +125,8 @@ def test_full_pipeline(pipeline, capsys):
         assert (root / name).read_bytes() == blob
 
 
-def test_parallel_training_matches(pipeline, capsys):
-    root, config = pipeline
+def test_parallel_training_matches(trained, capsys):
+    root, config = trained
     ckpts = {}
     for workers in ("1", "4"):
         run_ok(capsys, "train", "--config", config, "--workers", workers)
@@ -154,8 +166,8 @@ def test_config_errors_exit_2(pipeline, capsys, tmp_path):
     capsys.readouterr()
 
 
-def test_missing_checkpoints_exit_2(pipeline, capsys, tmp_path):
-    root, config = pipeline
+def test_missing_checkpoints_exit_2(trained, capsys, tmp_path):
+    root, config = trained
     import shutil
 
     partial = tmp_path / "partial"
@@ -171,8 +183,8 @@ def test_missing_checkpoints_exit_2(pipeline, capsys, tmp_path):
                                         "wrong_sized_support", "short_halo_flags",
                                         "unknown_config_key", "cut 8 bytes",
                                         "first 12 bytes only"])
-def test_corrupt_checkpoint_exits_3(pipeline, capsys, tmp_path, corruption):
-    root, config = pipeline
+def test_corrupt_checkpoint_exits_3(trained, capsys, tmp_path, corruption):
+    root, config = trained
     import shutil
 
     from flowcast.data import read_array_container, write_array_container
@@ -215,8 +227,8 @@ def test_data_errors_exit_3(pipeline, capsys, tmp_path):
     assert code == 3 and out["kind"] == "data"
 
 
-def test_forecast_with_mismatched_series_fails(pipeline, capsys, tmp_path):
-    root, config = pipeline
+def test_forecast_with_mismatched_series_fails(trained, capsys, tmp_path):
+    root, config = trained
     other = tmp_path / "other"
     # different sensor ids than the trained checkpoints
     assert main(["synth", "--config", config, "--set", "synth.nodes=5",
@@ -228,8 +240,8 @@ def test_forecast_with_mismatched_series_fails(pipeline, capsys, tmp_path):
     capsys.readouterr()
 
 
-def test_partition_failure_exits_4(pipeline, capsys, tmp_path):
-    root, config = pipeline
+def test_partition_failure_exits_4(trained, capsys, tmp_path):
+    root, config = trained
     import shutil
 
     out2 = tmp_path / "out2"

@@ -14,6 +14,8 @@ from flowcast.graph import (HaversineDistances, ProviderError, RoutingServiceCli
                             canonical_order, haversine_miles, knn_candidates,
                             read_metadata_csv, write_metadata_csv)
 
+import oracles
+
 MILE_LAT = 1.0 / 69.17  # about one mile of latitude in degrees
 
 
@@ -58,6 +60,18 @@ def test_knn_is_independent_of_row_order():
     base = knn_candidates(meta, 3)
     shuffled = [meta[i] for i in rng.permutation(12)]
     assert knn_candidates(shuffled, 3) == base
+
+
+def test_knn_matches_previous_implementation():
+    rng = np.random.default_rng(31)
+    for n in [int(x) for x in rng.integers(1, 60, size=40)] + [700]:  # 700 spans two row blocks
+        coords = rng.uniform(size=(n, 2))
+        dup = rng.integers(0, n, size=n // 3)
+        coords[rng.integers(0, n, size=dup.size)] = coords[dup]  # zero-distance ties
+        meta = [SensorMeta(f"S{i:03d}", float(30 + a), float(-120 + b))
+                for i, (a, b) in enumerate(coords)]
+        for k in (1, 3, int(rng.integers(1, n + 2))):
+            assert knn_candidates(meta, k) == oracles.knn_candidates(meta, k)
 
 
 def test_kernel_weight_values():

@@ -3,15 +3,18 @@
 import numpy as np
 import pytest
 
+import flowcast.partition as partition_module
 from flowcast.errors import DataError
-from flowcast.graph import SensorGraph, TableDistances
-from flowcast.partition import (CoarseLevel, PartitionAssignment, add_overlap_nodes,
-                                coarsen, edge_cut, extract_subgraphs,
+from flowcast.graph import (HaversineDistances, SensorGraph, SensorMeta, TableDistances,
+                            build_adjacency, canonical_order, knn_candidates)
+from flowcast.partition import (_MAX_FM_PASSES, CoarseLevel, PartitionAssignment, _fm_pass,
+                                _rebalance, add_overlap_nodes, coarsen, edge_cut, extract_subgraphs,
                                 heavy_edge_matching, initial_partition, partition_graph,
                                 read_assignment_csv, read_bundles, refine_uncoarsen,
                                 symmetrize, write_assignment_csv, write_bundles)
 from flowcast.sparse import CsrMatrix
 
+import oracles
 from oracles import brute_force_min_bisection, cut_of_assignment
 
 
@@ -170,6 +173,65 @@ def test_refine_never_increases_cut_on_random_graphs():
                                    pass_log=log)
         assert all(after <= before + 1e-12 for _, before, after in log)
         assert edge_cut(g, refined) <= cut_of_assignment(dense, start) + 1e-12
+
+
+def _random_refine_case(rng):
+    """A random graph, node weights, start assignment and a maxw for one pass."""
+    n = int(rng.integers(5, 40))
+    k = int(rng.integers(2, 7))
+    dense = np.where(rng.uniform(size=(n, n)) < rng.uniform(0.05, 0.4),
+                     rng.uniform(0.1, 2.0, (n, n)), 0.0)
+    if rng.uniform() < 0.5:
+        dense = np.round(dense * 4.0)  # integer weights make gain ties common
+    isolated = rng.choice(n, size=int(rng.integers(0, 3)), replace=False)
+    dense[isolated, :] = dense[:, isolated] = 0.0
+    np.fill_diagonal(dense, 0.0)
+    # a one-sided graph checks that a move refreshes the rows that hold the moved node
+    g = symmetrize(graph_of(dense)) if rng.uniform() < 0.75 else graph_of(dense)
+    node_w = np.ones(n) if rng.uniform() < 0.5 else rng.integers(1, 5, n).astype(float)
+    part = rng.integers(0, k, n)
+    part_w = np.bincount(part, weights=node_w, minlength=k)
+    # feasible: every part fits; infeasible: the heaviest part does not
+    maxw = part_w.max() if rng.uniform() < 0.5 else max(part_w.max() - 1.0, 0.5)
+    return g, node_w, part, k, maxw
+
+
+def test_fm_pass_and_rebalance_match_previous_implementation():
+    rng = np.random.default_rng(23)
+    for _ in range(150):
+        g, node_w, part, k, maxw = _random_refine_case(rng)
+        adj = g.adjacency
+        lists = oracles.adjacency_lists(g)
+        balanced = _rebalance(adj, node_w, part, k, maxw)
+        assert np.array_equal(balanced, oracles.rebalance(lists, node_w, part, k, maxw))
+        for start in (part, balanced):
+            for _ in range(_MAX_FM_PASSES):
+                got, gain = _fm_pass(adj, node_w, start, k, maxw)
+                want, want_gain = oracles.fm_pass(lists, node_w, start, k, maxw)
+                assert np.array_equal(got, want) and gain == want_gain
+                if gain <= 0.0:
+                    break
+                start = got
+
+
+def _random_geometric_graph(n, seed):
+    rng = np.random.default_rng(seed)
+    meta = [SensorMeta(f"G{i:04d}", float(37.0 + a), float(-122.0 + b))
+            for i, (a, b) in enumerate(rng.uniform(size=(n, 2)))]
+    provider = HaversineDistances(canonical_order(meta))
+    return build_adjacency(meta, knn_candidates(meta, 30), provider, thresh=100.0)
+
+
+@pytest.mark.parametrize("n", [250, 500])
+def test_partition_graph_matches_previous_refinement(n, monkeypatch):
+    g = _random_geometric_graph(n, seed=n)
+    log = []
+    got = partition_graph(g, 8, seed=3, pass_log=log)
+    monkeypatch.setattr(partition_module, "refine_uncoarsen", oracles.refine_uncoarsen)
+    want_log = []
+    want = partition_graph(g, 8, seed=3, pass_log=want_log)
+    assert np.array_equal(got.part_of, want.part_of)
+    assert log == want_log and len(log) > 1
 
 
 # ----------------------------------------------------------------------
