@@ -10,6 +10,10 @@ rows of the moved node's neighbors, as in Fiduccia-Mattheyses.
 
 Halo selection adds, per partition, nearby out-of-partition nodes and
 greedily thins them so no two kept halos are within the distance threshold.
+The provider ranks each owned node's nearest nodes in one call: the
+great-circle provider screens whole rows with numpy and ranks only a
+candidate set by its exact distance, giving the same lists as a scan of every
+pair; table and routing providers still query every (owned, node) pair.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ from .graph import SensorGraph
 from .sparse import CsrMatrix
 
 _MAX_FM_PASSES = 12
+
+NODES_HEADER = ["local_index", "sensor_id", "global_index", "is_halo"]
 
 
 @dataclass(frozen=True)
@@ -421,10 +427,11 @@ def add_overlap_nodes(graph: SensorGraph, assignment: PartitionAssignment, part:
     """Pick out-of-partition context nodes, greedily thinned by pair distance.
 
     Candidates are the union over owned nodes v of v's horizon_k nearest other
-    nodes (provider distance from v), minus the partition itself. They are
-    scanned by ascending distance to the partition (ties on index) and kept
-    only when farther than d_prime from every halo kept so far, using the
-    smaller of the two query directions as the pair distance.
+    nodes (provider distance from v, ties on index), minus the partition
+    itself; `provider.nearest` ranks them for all owned nodes in one call.
+    They are scanned by ascending distance to the partition (ties on index)
+    and kept only when farther than d_prime from every halo kept so far, using
+    the smaller of the two query directions as the pair distance.
     """
     if d_prime <= 0:
         raise ValueError("d_prime must be positive")
@@ -435,9 +442,8 @@ def add_overlap_nodes(graph: SensorGraph, assignment: PartitionAssignment, part:
     in_part[owned] = True
     candidates: set[int] = set()
     dist_to_part: dict[int, float] = {}
-    for v in owned:
-        ranked = sorted((provider.dist(int(v), u), u) for u in range(graph.n_nodes) if u != v)
-        for d, u in ranked[:horizon_k]:
+    for ranked in provider.nearest(owned, horizon_k, graph.n_nodes):
+        for d, u in ranked:
             if in_part[u]:
                 continue
             candidates.add(u)
@@ -521,7 +527,7 @@ def write_bundles(out_dir, bundles: list[SubgraphBundle]) -> None:
         b.graph.save(d / "graph.json")
         with open(d / "nodes.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["local_index", "sensor_id", "global_index", "is_halo"])
+            writer.writerow(NODES_HEADER)
             for i in range(b.n_local):
                 writer.writerow([i, b.graph.sensor_ids[i], int(b.local_to_global[i]),
                                  int(b.halo_flags[i])])
@@ -532,18 +538,36 @@ def write_bundles(out_dir, bundles: list[SubgraphBundle]) -> None:
                 writer.writerow([b.graph.sensor_ids[int(i)], int(b.local_to_global[i])])
 
 
+def _read_nodes_csv(path, n_local: int) -> tuple[list[int], list[bool]]:
+    """(local_to_global, halo_flags) of a bundle's nodes.csv; malformed rows raise DataError."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or rows[0] != NODES_HEADER:
+        raise DataError(f"{path}: expected header {','.join(NODES_HEADER)}")
+    if len(rows) - 1 != n_local:
+        raise DataError(f"{path}: {len(rows) - 1} rows for a bundle graph of {n_local} nodes")
+    l2g, flags = [], []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != len(NODES_HEADER) or row[3] not in ("0", "1"):
+            raise DataError(f"{path}: row {lineno}: expected {len(NODES_HEADER)} fields "
+                            f"with is_halo 0 or 1")
+        try:
+            local, global_index = int(row[0]), int(row[2])
+        except ValueError:
+            raise DataError(f"{path}: row {lineno}: non-integer index") from None
+        if local != lineno - 2 or global_index < 0:
+            raise DataError(f"{path}: row {lineno}: bad local or global index")
+        l2g.append(global_index)
+        flags.append(row[3] == "1")
+    return l2g, flags
+
+
 def read_bundles(bundle_dir) -> list[SubgraphBundle]:
     root = Path(bundle_dir)
     bundles = []
     for d in sorted(root.glob("part*")):
         graph = SensorGraph.load(d / "graph.json")
-        l2g, flags = [], []
-        with open(d / "nodes.csv", newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            for row in reader:
-                l2g.append(int(row[2]))
-                flags.append(bool(int(row[3])))
+        l2g, flags = _read_nodes_csv(d / "nodes.csv", graph.n_nodes)
         bundles.append(SubgraphBundle(int(d.name[4:]), graph,
                                       np.asarray(l2g, dtype=np.int64),
                                       np.asarray(flags, dtype=bool)))

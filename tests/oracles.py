@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's own computation paths:
 finite differences for gradients, dense matrix algebra for sparse products
 and diffusion filters, and exhaustive enumeration for partition cuts. The
 previous scalar FM refinement and kNN search are kept here too, as oracles
-for their vectorized replacements.
+for their vectorized replacements, and so is the previous halo selection,
+which ranks every node by one provider call per pair.
 """
 
 from __future__ import annotations
@@ -282,3 +283,50 @@ def knn_candidates(meta: list[SensorMeta], k: int) -> set[tuple[int, int]]:
         order = sorted((d[i, j], j) for j in range(n) if j != i)
         pairs.update((i, j) for _, j in order[:take])
     return pairs
+
+
+# ----------------------------------------------------------------------
+# the previous halo selection: one provider call per (owned, node) pair
+# ----------------------------------------------------------------------
+# Kept verbatim as the oracle for add_overlap_nodes on every provider.
+
+
+def add_overlap_nodes(graph, assignment: PartitionAssignment, part: int,
+                      horizon_k: int, d_prime: float, provider) -> list[int]:
+    """Pick out-of-partition context nodes, greedily thinned by pair distance.
+
+    Candidates are the union over owned nodes v of v's horizon_k nearest other
+    nodes (provider distance from v), minus the partition itself. They are
+    scanned by ascending distance to the partition (ties on index) and kept
+    only when farther than d_prime from every halo kept so far, using the
+    smaller of the two query directions as the pair distance.
+    """
+    if d_prime <= 0:
+        raise ValueError("d_prime must be positive")
+    if horizon_k < 1:
+        raise ValueError("horizon_k must be at least 1")
+    owned = assignment.nodes_of(part)
+    in_part = np.zeros(graph.n_nodes, dtype=bool)
+    in_part[owned] = True
+    candidates: set[int] = set()
+    dist_to_part: dict[int, float] = {}
+    for v in owned:
+        ranked = sorted((provider.dist(int(v), u), u) for u in range(graph.n_nodes) if u != v)
+        for d, u in ranked[:horizon_k]:
+            if in_part[u]:
+                continue
+            candidates.add(u)
+            if u not in dist_to_part or d < dist_to_part[u]:
+                dist_to_part[u] = d
+    ordered = sorted(candidates, key=lambda u: (dist_to_part[u], u))
+    kept: list[int] = []
+    for c in ordered:
+        near = False
+        for h in kept:
+            pair = min(provider.dist(c, h), provider.dist(h, c))
+            if pair <= d_prime:
+                near = True
+                break
+        if not near:
+            kept.append(c)
+    return kept

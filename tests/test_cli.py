@@ -218,6 +218,66 @@ def test_corrupt_checkpoint_exits_3(trained, capsys, tmp_path, corruption):
     assert code == 3 and out["kind"] == "data" and "part000" in out["message"]
 
 
+def _corrupt_graph(text, corruption):
+    doc = json.loads(text)
+    if corruption == "truncated":
+        return text[:len(text) // 2]
+    if corruption == "no_edges_key":
+        del doc["edges"]
+    elif corruption == "non_integer_index":
+        doc["edges"][0][1] = "one"
+    elif corruption == "n_nodes_below_index":
+        doc["n_nodes"] = max(max(e[0], e[1]) for e in doc["edges"])
+        doc["sensor_ids"] = doc["sensor_ids"][:doc["n_nodes"]]
+    elif corruption == "sensor_ids_length":
+        doc["sensor_ids"] = doc["sensor_ids"][:-1]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("corruption", ["truncated", "no_edges_key", "non_integer_index",
+                                        "n_nodes_below_index", "sensor_ids_length"])
+def test_corrupt_graph_file_exits_3(trained, capsys, tmp_path, corruption):
+    root, config = trained
+    import shutil
+
+    out_dir = tmp_path / "out"
+    shutil.copytree(root / "out", out_dir)
+    path = out_dir / "graph.json"
+    path.write_text(_corrupt_graph(path.read_text(), corruption))
+    code = main(["partition", "--config", config, "--set", f"paths.output_dir={out_dir}"])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 3 and len(lines) == 1
+    out = json.loads(lines[0])
+    assert out["kind"] == "data" and "graph.json" in out["message"]
+
+
+@pytest.mark.parametrize("corruption", ["short_row", "non_integer_field", "is_halo_2",
+                                        "missing_row"])
+def test_corrupt_bundle_nodes_exits_3(trained, capsys, tmp_path, corruption):
+    root, config = trained
+    import shutil
+
+    out_dir = tmp_path / "out"
+    shutil.copytree(root / "out", out_dir)
+    path = out_dir / "bundles" / "part000" / "nodes.csv"
+    rows = path.read_text().splitlines()
+    fields = rows[1].split(",")
+    if corruption == "short_row":
+        rows[1] = ",".join(fields[:3])
+    elif corruption == "non_integer_field":
+        rows[1] = ",".join(fields[:2] + ["x"] + fields[3:])
+    elif corruption == "is_halo_2":
+        rows[1] = ",".join(fields[:3] + ["2"])
+    elif corruption == "missing_row":
+        del rows[-1]
+    path.write_text("\n".join(rows) + "\n")
+    code = main(["train", "--config", config, "--set", f"paths.output_dir={out_dir}"])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 3 and len(lines) == 1
+    out = json.loads(lines[0])
+    assert out["kind"] == "data" and "nodes.csv" in out["message"]
+
+
 def test_data_errors_exit_3(pipeline, capsys, tmp_path):
     _, config = pipeline
     bad = tmp_path / "bad.csv"

@@ -5,8 +5,8 @@ import pytest
 
 import flowcast.partition as partition_module
 from flowcast.errors import DataError
-from flowcast.graph import (HaversineDistances, SensorGraph, SensorMeta, TableDistances,
-                            build_adjacency, canonical_order, knn_candidates)
+from flowcast.graph import (DistanceProvider, HaversineDistances, SensorGraph, SensorMeta,
+                            TableDistances, build_adjacency, canonical_order, knn_candidates)
 from flowcast.partition import (_MAX_FM_PASSES, CoarseLevel, PartitionAssignment, _fm_pass,
                                 _rebalance, add_overlap_nodes, coarsen, edge_cut, extract_subgraphs,
                                 heavy_edge_matching, initial_partition, partition_graph,
@@ -384,6 +384,65 @@ def test_overlap_invariants_randomized():
             candidates.update(u for _, u in ranked[:horizon] if u not in owned)
         for c in candidates - set(kept):
             assert any(provider.dist(c, h) <= d_prime for h in kept)
+
+
+def _haversine_point_sets(rng):
+    """(name, lat, lon) sets that stress the great-circle candidate screen."""
+    sets = []
+    for _ in range(4):
+        n = int(rng.integers(2, 40))
+        lat = 37.0 + rng.uniform(size=n)
+        lon = -122.0 + rng.uniform(size=n)
+        dup = rng.integers(0, n, size=n // 3)  # duplicate coordinates
+        lat[:dup.size], lon[:dup.size] = lat[dup], lon[dup]
+        sets.append(("uniform with duplicates", lat, lon))
+    # one latitude, dyadic offsets: d(center, lon0 - x) == d(center, lon0 + x) exactly
+    offsets = np.array([0.0, 0.125, -0.125, 0.25, -0.25, 0.375, -0.375, 0.5, -0.5, 0.75, -0.75])
+    sets.append(("ties on one latitude", np.full(offsets.size, 40.0), -122.0 + offsets))
+    grid = np.arange(-3, 4) * 0.25
+    glat, glon = np.meshgrid(40.0 + grid, -100.0 + grid)
+    sets.append(("dyadic grid", glat.ravel(), glon.ravel()))
+    n = 30
+    sets.append(("near the north pole", rng.uniform(89.9, 90.0, n), rng.uniform(-180.0, 180.0, n)))
+    sets.append(("across +-180 degrees", rng.uniform(-0.5, 0.5, n),
+                 np.where(rng.uniform(size=n) < 0.5, rng.uniform(179.8, 180.0, n),
+                          rng.uniform(-180.0, -179.8, n))))
+    # Two clusters at antipodes. At 1e-6 deg some pairs have a within an ulp
+    # of 1, where asin turns numpy's difference from `math` into 1.2e-4 mi; the
+    # draws of seeds 168 and 362 need the relative term of the candidate screen.
+    for seed, jitter in ((0, 1e-3), (1, 1e-5), (168, 1e-6), (362, 1e-6)):
+        draw = np.random.default_rng(seed)
+        lat0, lon0 = draw.uniform(-60.0, 60.0), draw.uniform(-180.0, 0.0)
+        lat = np.concatenate([lat0 + draw.uniform(-jitter, jitter, 10),
+                              -lat0 + draw.uniform(-jitter, jitter, 10)])
+        lon = np.concatenate([lon0 + draw.uniform(-jitter, jitter, 10),
+                              lon0 + 180.0 + draw.uniform(-jitter, jitter, 10)])
+        sets.append((f"near-antipodal clusters ({jitter} deg)", lat, lon))
+    sets.append(("exact antipodes", np.array([0.0, 0.0, 45.0, -45.0, 90.0, -90.0]),
+                 np.array([0.0, 180.0, 10.0, -170.0, 0.0, 0.0])))
+    return sets
+
+
+def test_haversine_halos_match_previous_implementation():
+    rng = np.random.default_rng(57)
+    for name, lat, lon in _haversine_point_sets(rng):
+        n = lat.size
+        meta = [SensorMeta(f"P{i:03d}", float(a), float(b)) for i, (a, b) in enumerate(zip(lat, lon))]
+        provider = HaversineDistances(meta)
+        g = graph_of(np.zeros((n, n)))
+        k = int(rng.integers(1, min(4, n) + 1))
+        part_of = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
+        assignment = PartitionAssignment(rng.permutation(part_of), k)
+        sources = np.arange(n)
+        for horizon in range(1, n + 2):
+            assert (provider.nearest(sources, horizon, n)
+                    == DistanceProvider.nearest(provider, sources, horizon, n)), (name, horizon)
+        for horizon in sorted({1, 2, int(rng.integers(1, n + 1)), 9, n - 1, n + 5} - {0}):
+            d_prime = float(rng.choice([1e-3, 0.05, 5.0, 500.0]))
+            for p in range(k):
+                kept = add_overlap_nodes(g, assignment, p, horizon, d_prime, provider)
+                assert kept == oracles.add_overlap_nodes(g, assignment, p, horizon, d_prime,
+                                                         provider), (name, horizon, p)
 
 
 # ----------------------------------------------------------------------
