@@ -4,7 +4,9 @@ Tensors are thin wrappers around float64 numpy arrays with a stable uid.
 A Tape owns the op records: executing an op through the tape computes the
 value eagerly and stores a closure that maps the output gradient to input
 gradients. `backward` walks the records once, in reverse execution order
-(which is a reverse topological order), accumulating gradients additively.
+(which is a reverse topological order), accumulating gradients additively and
+releasing each record and output gradient as it goes, so a tape serves one
+backward. Inference uses `Tape(record=False)`, which keeps no records at all.
 
 Leaf tensors (parameters, constants) are not bound to any tape, so the same
 parameter objects can be reused across many training-step tapes.
@@ -44,16 +46,18 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 class Tape:
-    """Records primitive ops; provides backward(). One tape per training step."""
+    """Records primitive ops (record=False: none); provides backward(). One tape per step."""
 
-    def __init__(self):
+    def __init__(self, record: bool = True):
+        self._record = record
         self._records: list[tuple[int, tuple[int, ...], object]] = []
         self._known: set[int] = set()
 
     def _emit(self, value, inputs: Sequence[Tensor], backward) -> Tensor:
         out = Tensor(value)
-        self._records.append((out.uid, tuple(t.uid for t in inputs), backward))
-        self._known.add(out.uid)
+        if self._record:
+            self._records.append((out.uid, tuple(t.uid for t in inputs), backward))
+            self._known.add(out.uid)
         return out
 
     # ------------------------------------------------------------------
@@ -170,23 +174,26 @@ class Tape:
     # ------------------------------------------------------------------
 
     def backward(self, loss: Tensor) -> dict[int, np.ndarray]:
-        """Gradients of a recorded scalar w.r.t. every tensor on its paths.
+        """Gradients of a recorded scalar w.r.t. every leaf on its paths.
 
         Returns a dict keyed by Tensor.uid; leaves not reached by any path
-        are simply absent (their gradients are zero).
+        are simply absent (their gradients are zero). Consumes the tape: a
+        second call raises.
         """
         if loss.uid not in self._known:
             raise ValueError("loss is not recorded on this tape")
         if loss.value.shape != ():
             raise ValueError("loss must be a scalar")
         grads: dict[int, np.ndarray] = {loss.uid: np.ones(())}
-        for out_uid, in_uids, backward in reversed(self._records):
-            g = grads.get(out_uid)
+        while self._records:  # an output's gradient is complete at its record
+            out_uid, in_uids, backward = self._records.pop()
+            g = grads.pop(out_uid, None)
             if g is None:
                 continue
             for uid, gi in zip(in_uids, backward(g)):
                 acc = grads.get(uid)
                 grads[uid] = gi if acc is None else acc + gi
+        self._known.clear()
         return grads
 
 

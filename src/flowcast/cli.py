@@ -195,7 +195,10 @@ def cmd_build_graph(config: PipelineConfig) -> None:
 
 def cmd_partition(config: PipelineConfig) -> None:
     out_dir = config.path("output_dir")
-    g = graphmod.SensorGraph.load(out_dir / "graph.json")
+    graph_path = out_dir / "graph.json"
+    if not graph_path.exists():
+        raise ConfigError(f"missing {graph_path}; run build-graph first")
+    g = graphmod.SensorGraph.load(graph_path)
     meta = graphmod.read_metadata_csv(config.path("metadata", must_exist=True))
     k = config.get_int("partition", "k")
     seed = config.get_int("training", "seed")

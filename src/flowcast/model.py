@@ -314,7 +314,7 @@ def seq2seq_loss(tape: Tape, params: DcgruParams, supports: DiffusionSupports,
 def predict(params: DcgruParams, supports: DiffusionSupports,
             window: np.ndarray) -> np.ndarray:
     """Pure inference: [batch, lookback, nodes, P] -> [batch, horizon, nodes, Q]."""
-    tape = Tape()
+    tape = Tape(record=False)
     states = encode(tape, window, supports, params)
     outputs = decode(tape, states, supports, params, targets=None, epsilon=0.0)
     return np.stack([o.value for o in outputs], axis=1)

@@ -512,6 +512,8 @@ def read_assignment_csv(path, graph: SensorGraph) -> PartitionAssignment:
         for lineno, row in enumerate(reader, start=2):
             if len(row) != 2 or row[0] not in graph.id_to_index:
                 raise DataError(f"{path}: row {lineno}: bad assignment row")
+            if not (row[1].isascii() and row[1].isdigit()):
+                raise DataError(f"{path}: row {lineno}: part must be a non-negative integer")
             part[graph.id_to_index[row[0]]] = int(row[1])
     if (part < 0).any():
         raise DataError(f"{path}: some sensors have no part assigned")
@@ -566,9 +568,15 @@ def read_bundles(bundle_dir) -> list[SubgraphBundle]:
     root = Path(bundle_dir)
     bundles = []
     for d in sorted(root.glob("part*")):
+        part_id = d.name[4:]
+        if not (d.is_dir() and part_id.isascii() and part_id.isdigit()):
+            raise DataError(f"{d}: not a partNNN bundle directory")
+        for name in ("graph.json", "nodes.csv"):
+            if not (d / name).is_file():
+                raise DataError(f"{d / name}: missing bundle file")
         graph = SensorGraph.load(d / "graph.json")
         l2g, flags = _read_nodes_csv(d / "nodes.csv", graph.n_nodes)
-        bundles.append(SubgraphBundle(int(d.name[4:]), graph,
+        bundles.append(SubgraphBundle(int(part_id), graph,
                                       np.asarray(l2g, dtype=np.int64),
                                       np.asarray(flags, dtype=bool)))
     if not bundles:

@@ -215,9 +215,8 @@ def _batched_loss(params, supports, windows: WindowedDataset, batch_size: int) -
     total, count = 0.0, 0
     for lo in range(0, windows.n_samples, batch_size):
         hi = min(lo + batch_size, windows.n_samples)
-        tape = Tape()
-        loss, _ = seq2seq_loss(tape, params, supports, windows.x[lo:hi], windows.y[lo:hi],
-                               epsilon=0.0)
+        loss, _ = seq2seq_loss(Tape(record=False), params, supports, windows.x[lo:hi],
+                               windows.y[lo:hi], epsilon=0.0)
         total += float(loss.value) * (hi - lo)
         count += hi - lo
     return total / count

@@ -5,7 +5,8 @@ finite differences for gradients, dense matrix algebra for sparse products
 and diffusion filters, and exhaustive enumeration for partition cuts. The
 previous scalar FM refinement and kNN search are kept here too, as oracles
 for their vectorized replacements, and so is the previous halo selection,
-which ranks every node by one provider call per pair.
+which ranks every node by one provider call per pair, and the previous tape
+walk, which keeps every record and every intermediate gradient.
 """
 
 from __future__ import annotations
@@ -330,3 +331,37 @@ def add_overlap_nodes(graph, assignment: PartitionAssignment, part: int,
         if not near:
             kept.append(c)
     return kept
+
+
+# ----------------------------------------------------------------------
+# the previous tape walk: nothing released
+# ----------------------------------------------------------------------
+# Kept as the oracle for Tape.backward, which frees records as it walks.
+
+
+def tape_backward(tape, loss) -> dict[int, np.ndarray]:
+    """Gradients of loss w.r.t. every tensor on its paths, leaves and
+    intermediates alike. Reads the tape's records without consuming them."""
+    grads: dict[int, np.ndarray] = {loss.uid: np.ones(())}
+    for out_uid, in_uids, backward in reversed(tape._records):
+        g = grads.get(out_uid)
+        if g is None:
+            continue
+        for uid, gi in zip(in_uids, backward(g)):
+            acc = grads.get(uid)
+            grads[uid] = gi if acc is None else acc + gi
+    return grads
+
+
+def assert_backward_matches_oracle(tape, loss) -> dict[int, np.ndarray]:
+    """Tape.backward returns the oracle's gradient for every leaf, bit for bit,
+    and nothing else; the tape is empty afterwards. Returns the gradients."""
+    recorded = {out_uid for out_uid, _, _ in tape._records}
+    expected = tape_backward(tape, loss)
+    got = tape.backward(loss)
+    assert set(got) == set(expected) - recorded
+    assert got, "no leaf on the loss path"
+    for uid, g in got.items():
+        assert np.array_equal(g, expected[uid]), f"gradient of tensor {uid} differs"
+    assert not tape._records
+    return got

@@ -179,6 +179,16 @@ def test_missing_checkpoints_exit_2(trained, capsys, tmp_path):
     assert code == 2 and "run train first" in out["message"]
 
 
+def test_partition_without_graph_exits_2(trained, capsys, tmp_path):
+    _, config = trained
+    code = main(["partition", "--config", config,
+                 "--set", f"paths.output_dir={tmp_path / 'empty'}"])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 2 and len(lines) == 1
+    out = json.loads(lines[0])
+    assert out["kind"] == "config" and "graph.json; run build-graph first" in out["message"]
+
+
 @pytest.mark.parametrize("corruption", ["missing_array", "index_out_of_range",
                                         "wrong_sized_support", "short_halo_flags",
                                         "unknown_config_key", "cut 8 bytes",
@@ -252,7 +262,7 @@ def test_corrupt_graph_file_exits_3(trained, capsys, tmp_path, corruption):
 
 
 @pytest.mark.parametrize("corruption", ["short_row", "non_integer_field", "is_halo_2",
-                                        "missing_row"])
+                                        "missing_row", "missing_file", "stray_directory"])
 def test_corrupt_bundle_nodes_exits_3(trained, capsys, tmp_path, corruption):
     root, config = trained
     import shutil
@@ -270,12 +280,17 @@ def test_corrupt_bundle_nodes_exits_3(trained, capsys, tmp_path, corruption):
         rows[1] = ",".join(fields[:3] + ["2"])
     elif corruption == "missing_row":
         del rows[-1]
+    elif corruption == "stray_directory":
+        shutil.copytree(path.parent, out_dir / "bundles" / "part_old")
     path.write_text("\n".join(rows) + "\n")
+    if corruption == "missing_file":
+        path.unlink()
     code = main(["train", "--config", config, "--set", f"paths.output_dir={out_dir}"])
     lines = capsys.readouterr().out.strip().splitlines()
     assert code == 3 and len(lines) == 1
     out = json.loads(lines[0])
-    assert out["kind"] == "data" and "nodes.csv" in out["message"]
+    named = "part_old" if corruption == "stray_directory" else "nodes.csv"
+    assert out["kind"] == "data" and named in out["message"]
 
 
 def test_data_errors_exit_3(pipeline, capsys, tmp_path):

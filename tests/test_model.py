@@ -1,5 +1,7 @@
 """Diffusion filter, DCGRU cell, encoder-decoder, and losses."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from flowcast.model import (CellParams, GateParams, Seq2SeqConfig,
                             init_params, loss_multi, predict, seq2seq_loss)
 from flowcast.sparse import CsrMatrix
 
-from oracles import assert_grads_close, dense_diffusion, finite_difference
+from oracles import (assert_backward_matches_oracle, assert_grads_close, dense_diffusion,
+                     finite_difference)
 
 
 def graph_of(dense) -> SensorGraph:
@@ -299,6 +302,66 @@ def test_seq2seq_gradients_match_finite_differences_small():
 
     numeric = finite_difference(f, [t.value for t in leaves])
     assert_grads_close(analytic, numeric)
+
+
+@pytest.mark.parametrize("filter_type", ["random_walk", "dual_random_walk"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("epsilon", [0.0, 0.5])
+def test_seq2seq_backward_matches_previous_walk(filter_type, dim, epsilon):
+    g, cfg, sup, params, rng = _tiny_setup(p=dim, q=dim, filter_type=filter_type)
+    window = rng.normal(size=(2, 3, 4, dim))
+    targets = rng.normal(size=(2, 3, 4, dim))
+    tape = Tape()
+    loss, _ = seq2seq_loss(tape, params, sup, window, targets, epsilon=epsilon,
+                           rng=np.random.default_rng(3))
+    grads = assert_backward_matches_oracle(tape, loss)
+    assert {p.uid for p in params.tensors()} <= set(grads)
+
+
+@pytest.mark.parametrize("filter_type", ["random_walk", "dual_random_walk"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_record_off_forward_matches_recorded(filter_type, dim):
+    g, cfg, sup, params, rng = _tiny_setup(p=dim, q=dim, filter_type=filter_type)
+    window = rng.normal(size=(2, 3, 4, dim))
+    targets = rng.normal(size=(2, 3, 4, dim))
+    tape = Tape()
+    outputs = decode(tape, encode(tape, window, sup, params), sup, params)
+    assert np.array_equal(predict(params, sup, window),
+                          np.stack([o.value for o in outputs], axis=1))
+    loss, _ = seq2seq_loss(Tape(), params, sup, window, targets)
+    loss_off, _ = seq2seq_loss(Tape(record=False), params, sup, window, targets)
+    assert loss_off.value == loss.value
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_predict_does_not_retain_activations():
+    # a recording tape keeps every cell step's activations until the forward
+    # returns; inference must free each one when the next step replaces it
+    rng = np.random.default_rng(0)
+    n = 10
+    dense = np.where(rng.uniform(size=(n, n)) < 0.3, rng.uniform(0.2, 1.0, (n, n)), 0.0)
+    np.fill_diagonal(dense, 0.0)
+    cfg = Seq2SeqConfig(lookback=12, horizon=12, layers=2, units=4,
+                        filter_type="dual_random_walk")
+    sup = build_supports(graph_of(dense), cfg.filter_type, 2)
+    params = init_params(cfg, seed=1)
+    window = rng.normal(size=(2, 12, n, 1))
+
+    def recorded():
+        tape = Tape()
+        decode(tape, encode(tape, window, sup, params), sup, params)
+
+    predict(params, sup, window)  # build the supports' cached dense copies first
+    ratio = _traced_peak(lambda: predict(params, sup, window)) / _traced_peak(recorded)
+    assert ratio < 0.25, f"predict peaks at {ratio:.2f} of a recording forward"
 
 
 def test_permutation_equivariance():

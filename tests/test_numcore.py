@@ -9,7 +9,7 @@ from flowcast.autodiff import Tape, Tensor, grads_for
 from flowcast.optim import AdamState, adam_step, clip_by_global_norm, global_norm
 from flowcast.sparse import DENSE_MAX_CELLS, CsrMatrix
 
-from oracles import assert_grads_close, finite_difference
+from oracles import assert_backward_matches_oracle, assert_grads_close, finite_difference
 
 
 # ----------------------------------------------------------------------
@@ -200,6 +200,25 @@ def test_gradient_accumulates_over_reused_tensor():
     assert np.allclose(tape.backward(loss)[p.uid], [1.0, 1.0])
 
 
+def test_record_off_tape_keeps_nothing():
+    tape = Tape(record=False)
+    p = Tensor([1.0, -2.0])
+    loss = tape.mean_abs(tape.tanh(tape.add(p, p)), tape.constant(np.zeros(2)))
+    assert loss.value == np.abs(np.tanh(2.0 * p.value)).mean()
+    assert not tape._records and not tape._known
+    with pytest.raises(ValueError, match="not recorded"):
+        tape.backward(loss)
+
+
+def test_backward_consumes_its_tape():
+    tape = Tape()
+    p, zero = Tensor([1.0, 2.0]), tape.constant(np.zeros(2))
+    loss = tape.mean_abs(tape.add(p, p), zero)
+    assert set(tape.backward(loss)) == {p.uid, zero.uid}  # leaves only
+    with pytest.raises(ValueError, match="not recorded"):
+        tape.backward(loss)
+
+
 def _composite_loss(params, s):
     """Exercises every primitive the model uses."""
     w1, w2, b = params
@@ -288,6 +307,15 @@ def test_tape_is_deterministic():
         return float(loss.value)
 
     assert once() == once()
+
+
+def test_backward_matches_previous_walk_bit_for_bit():
+    rng = np.random.default_rng(5)
+    s = CsrMatrix.from_dense(np.where(rng.uniform(size=(3, 3)) < 0.7,
+                                      rng.uniform(size=(3, 3)), 0.0))
+    params = [rng.normal(size=(4, 5)), rng.normal(size=(5, 1)), rng.normal(size=5)]
+    tape, loss = _composite_loss(params, s)
+    assert_backward_matches_oracle(tape, loss)
 
 
 # ----------------------------------------------------------------------

@@ -489,6 +489,12 @@ def test_assignment_and_bundle_round_trip(tmp_path):
     write_assignment_csv(tmp_path / "assignment.csv", g, assignment)
     back = read_assignment_csv(tmp_path / "assignment.csv", g)
     assert np.array_equal(back.part_of, assignment.part_of)
+    rows = (tmp_path / "assignment.csv").read_text().splitlines()
+    sensor = rows[3].split(",")[0]
+    for bad in ("x", "-1", "1.0", ""):
+        (tmp_path / "bad.csv").write_text("\n".join(rows[:3] + [f"{sensor},{bad}"] + rows[4:]))
+        with pytest.raises(DataError, match="row 4: part must be a non-negative integer"):
+            read_assignment_csv(tmp_path / "bad.csv", g)
 
     halos = [[int(v) for v in np.flatnonzero(assignment.part_of != p)[:1]]
              for p in range(2)]
