@@ -46,17 +46,26 @@ class PipelineConfig:
     def get(self, section: str, key: str) -> str:
         return self.raw[section][key]
 
-    def get_int(self, section: str, key: str) -> int:
+    def get_int(self, section: str, key: str, minimum: int | None = None) -> int:
         try:
-            return int(self.get(section, key))
+            value = int(self.get(section, key))
         except ValueError:
             raise ConfigError(f"{section}.{key} must be an integer") from None
+        if minimum is not None and value < minimum:
+            raise ConfigError(f"{section}.{key} must be at least {minimum}, got {value}")
+        return value
 
-    def get_float(self, section: str, key: str) -> float:
+    def get_float(self, section: str, key: str, minimum: float | None = None,
+                  strict: bool = False) -> float:
+        """A float; with minimum, NaN and values below it (or equal, if strict) raise."""
         try:
-            return float(self.get(section, key))
+            value = float(self.get(section, key))
         except ValueError:
             raise ConfigError(f"{section}.{key} must be a number") from None
+        if minimum is not None and not (value > minimum if strict else value >= minimum):
+            bound = "greater than" if strict else "at least"
+            raise ConfigError(f"{section}.{key} must be {bound} {minimum}, got {value}")
+        return value
 
     def path(self, key: str, must_exist: bool = False) -> Path:
         value = self.get("paths", key)
@@ -177,7 +186,7 @@ def cmd_synth(config: PipelineConfig) -> None:
 
 def cmd_build_graph(config: PipelineConfig) -> None:
     meta = graphmod.read_metadata_csv(config.path("metadata", must_exist=True))
-    pairs = graphmod.knn_candidates(meta, config.get_int("graph", "k_nn"))
+    pairs = graphmod.knn_candidates(meta, config.get_int("graph", "k_nn", minimum=1))
     sigma_text = config.get("graph", "sigma_mode")
     sigma_mode = "auto" if sigma_text == "auto" else float(sigma_text)
     g = graphmod.build_adjacency(
@@ -200,14 +209,14 @@ def cmd_partition(config: PipelineConfig) -> None:
         raise ConfigError(f"missing {graph_path}; run build-graph first")
     g = graphmod.SensorGraph.load(graph_path)
     meta = graphmod.read_metadata_csv(config.path("metadata", must_exist=True))
-    k = config.get_int("partition", "k")
+    k = config.get_int("partition", "k", minimum=1)
+    imbalance = config.get_float("partition", "imbalance", minimum=0.0)
+    horizon_k = config.get_int("partition", "horizon_k", minimum=1)
+    d_prime = config.get_float("partition", "d_prime", minimum=0.0, strict=True)
     seed = config.get_int("training", "seed")
-    assignment = partmod.partition_graph(g, k, config.get_float("partition", "imbalance"),
-                                         seed=seed)
+    assignment = partmod.partition_graph(g, k, imbalance, seed=seed)
     provider = _provider_for(config, meta)
-    halos = [partmod.add_overlap_nodes(g, assignment, p,
-                                       config.get_int("partition", "horizon_k"),
-                                       config.get_float("partition", "d_prime"), provider)
+    halos = [partmod.add_overlap_nodes(g, assignment, p, horizon_k, d_prime, provider)
              for p in range(k)]
     bundles = partmod.extract_subgraphs(g, assignment, halos)
     partmod.write_assignment_csv(out_dir / "assignment.csv", g, assignment)

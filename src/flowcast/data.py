@@ -85,7 +85,7 @@ class TimeSeriesPanel:
 
 def read_timeseries_csv(path) -> TimeSeriesPanel:
     cells: dict[tuple[str, str], tuple[float, float, bool, bool]] = {}
-    stamps: set[str] = set()
+    stamps: set[str] = set()  # distinct raw timestamps, each validated once
     nodes: set[str] = set()
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -96,10 +96,12 @@ def read_timeseries_csv(path) -> TimeSeriesPanel:
             if len(row) != 4:
                 raise DataError(f"{path}: row {lineno}: expected 4 fields")
             ts, sid = row[0].strip(), row[1].strip()
-            try:
-                np.datetime64(ts)
-            except ValueError:
-                raise DataError(f"{path}: row {lineno}: bad timestamp {ts!r}") from None
+            if ts not in stamps:
+                try:
+                    np.datetime64(ts)
+                except ValueError:
+                    raise DataError(f"{path}: row {lineno}: bad timestamp {ts!r}") from None
+                stamps.add(ts)
             vals, missing = [], []
             for text in (row[2].strip(), row[3].strip()):
                 if text == "":
@@ -114,16 +116,17 @@ def read_timeseries_csv(path) -> TimeSeriesPanel:
             if (ts, sid) in cells:
                 raise DataError(f"{path}: row {lineno}: duplicate observation for {sid} at {ts}")
             cells[(ts, sid)] = (vals[0], vals[1], missing[0], missing[1])
-            stamps.add(ts)
             nodes.add(sid)
     if not cells:
         raise DataError(f"{path}: no observations")
-    times = np.array(sorted(stamps), dtype="datetime64[s]")
+    raw = sorted(stamps)
+    times = np.array(raw, dtype="datetime64[s]")  # one vectorised parse, no per-row scalars
     lo, hi = times[0], times[-1]
     grid = np.arange(lo, hi + TICK, TICK)
     grid_index = {str(t): i for i, t in enumerate(grid)}
-    for ts in stamps:
-        if str(np.datetime64(ts).astype("datetime64[s]")) not in grid_index:
+    row_of = {ts: grid_index.get(str(t)) for ts, t in zip(raw, times)}
+    for ts, ti in row_of.items():
+        if ti is None:
             raise DataError(f"{path}: timestamp {ts} is off the 5-minute grid")
     node_ids = sorted(nodes)
     node_index = {s: i for i, s in enumerate(node_ids)}
@@ -131,7 +134,7 @@ def read_timeseries_csv(path) -> TimeSeriesPanel:
     values = np.full((t, n, 2), math.nan)
     mask = np.ones((t, n, 2), dtype=bool)
     for (ts, sid), (speed, flow, m_sp, m_fl) in cells.items():
-        ti = grid_index[str(np.datetime64(ts).astype("datetime64[s]"))]
+        ti = row_of[ts]
         ni = node_index[sid]
         values[ti, ni, 0], values[ti, ni, 1] = speed, flow
         mask[ti, ni, 0], mask[ti, ni, 1] = m_sp, m_fl

@@ -30,6 +30,7 @@ from .graph import SensorGraph
 from .sparse import CsrMatrix
 
 _MAX_FM_PASSES = 12
+_FM_IDLE_MOVES = 128  # moves in a row with no new best prefix that end a pass
 
 NODES_HEADER = ["local_index", "sensor_id", "global_index", "is_halo"]
 
@@ -310,6 +311,10 @@ def _fm_pass(adj: CsrMatrix, node_w, part_in, k, maxw):
     hold v. Each move is an argmax over the admissible (v, q) of the
     row-major gain table, whose first maximum is the (-gain, v, q) tie-break.
 
+    The pass ends once _FM_IDLE_MOVES moves in a row have set no new best
+    prefix (the Fiduccia-Mattheyses cut-off), so a pass that keeps best_len
+    moves costs O((best_len + _FM_IDLE_MOVES) * n * k), not O(n^2 * k).
+
     Returns (assignment, gain_applied); gain_applied >= 0 by construction.
     """
     n = len(part_in)
@@ -353,6 +358,8 @@ def _fm_pass(adj: CsrMatrix, node_w, part_in, k, maxw):
         prefix_ok = bool((part_w <= maxw).all()) or not feasible_in
         if prefix_ok and cum > best_cum:
             best_cum, best_len = cum, len(moves)
+        elif len(moves) - best_len >= _FM_IDLE_MOVES:
+            break
     out = part_in.copy()
     for v, q in moves[:best_len]:
         out[v] = q
@@ -433,7 +440,7 @@ def add_overlap_nodes(graph: SensorGraph, assignment: PartitionAssignment, part:
     and kept only when farther than d_prime from every halo kept so far, using
     the smaller of the two query directions as the pair distance.
     """
-    if d_prime <= 0:
+    if not d_prime > 0:  # NaN would keep every candidate
         raise ValueError("d_prime must be positive")
     if horizon_k < 1:
         raise ValueError("horizon_k must be at least 1")

@@ -104,8 +104,9 @@ def cut_of_assignment(adjacency_dense, part_of):
 # ----------------------------------------------------------------------
 # the previous scalar partition refinement and kNN search
 # ----------------------------------------------------------------------
-# Kept verbatim (bar names) as oracles: the library's table-driven FM pass,
-# rebalancing and argsort kNN must reproduce them bit for bit.
+# Kept verbatim (bar names, and fm_pass's optional idle cut-off) as oracles: the
+# library's table-driven FM pass, rebalancing and argsort kNN must reproduce them
+# bit for bit.
 
 
 def adjacency_lists(graph):
@@ -171,9 +172,12 @@ def rebalance(adj, node_w, part, k, maxw) -> np.ndarray:
     return part
 
 
-def fm_pass(adj, node_w, part_in, k, maxw):
+def fm_pass(adj, node_w, part_in, k, maxw, idle_limit=None):
     """One FM pass: greedy best-gain single-node moves, each node at most once,
     then rollback to the best prefix whose part weights satisfy the bound.
+
+    idle_limit=None runs the pass until no move is left; an integer m ends it
+    once m moves in a row have set no new best prefix.
 
     Returns (assignment, gain_applied); gain_applied >= 0 by construction.
     """
@@ -226,6 +230,8 @@ def fm_pass(adj, node_w, part_in, k, maxw):
         prefix_ok = bool((part_w <= maxw).all()) or not feasible_in
         if prefix_ok and cum > best_cum:
             best_cum, best_len = cum, len(moves)
+        elif idle_limit is not None and len(moves) - best_len >= idle_limit:
+            break
     out = part_in.copy()
     for v, _, q in moves[:best_len]:
         out[v] = q

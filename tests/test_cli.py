@@ -189,6 +189,29 @@ def test_partition_without_graph_exits_2(trained, capsys, tmp_path):
     assert out["kind"] == "config" and "graph.json; run build-graph first" in out["message"]
 
 
+@pytest.mark.parametrize("command,key,value", [
+    ("build-graph", "graph.k_nn", "0"),
+    ("partition", "partition.k", "0"),
+    ("partition", "partition.horizon_k", "0"),
+    ("partition", "partition.d_prime", "0"),
+    ("partition", "partition.d_prime", "nan"),
+    ("partition", "partition.imbalance", "-0.5"),
+])
+def test_out_of_range_settings_exit_2(trained, capsys, tmp_path, command, key, value):
+    root, config = trained
+    import shutil
+
+    (tmp_path / "out").mkdir()
+    shutil.copy(root / "out" / "graph.json", tmp_path / "out" / "graph.json")
+    code = main([command, "--config", config, "--set", f"paths.output_dir={tmp_path / 'out'}",
+                 "--set", f"{key}={value}"])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 2 and len(lines) == 1
+    out = json.loads(lines[0])
+    assert out["kind"] == "config" and key in out["message"]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["graph.json"]
+
+
 @pytest.mark.parametrize("corruption", ["missing_array", "index_out_of_range",
                                         "wrong_sized_support", "short_halo_flags",
                                         "unknown_config_key", "cut 8 bytes",

@@ -62,6 +62,12 @@ def test_timeseries_csv_errors(tmp_path):
     bad_value.write_text("timestamp,sensor_id,speed,flow\n2024-01-01T00:00:00,a,fast,2\n")
     with pytest.raises(DataError, match="row 2"):
         read_timeseries_csv(bad_value)
+    bad_stamp = tmp_path / "e.csv"  # a bad timestamp repeated later is reported at its first row
+    bad_stamp.write_text("timestamp,sensor_id,speed,flow\n2024-01-01T00:00:00,a,1,2\n"
+                         "2024-13-01T00:00:00,a,1,2\n2024-13-01T00:00:00,b,1,2\n"
+                         "2024-01-01T00:00:00,b,1,2\n2024-13-01T00:00:00,c,1,2\n")
+    with pytest.raises(DataError, match=r"row 3: bad timestamp '2024-13-01T00:00:00'"):
+        read_timeseries_csv(bad_stamp)
     duplicate = tmp_path / "d.csv"
     duplicate.write_text("timestamp,sensor_id,speed,flow\n"
                          "2024-01-01T00:00:00,a,1,2\n2024-01-01T00:00:00,a,1,3\n")

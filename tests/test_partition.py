@@ -214,6 +214,22 @@ def test_fm_pass_and_rebalance_match_previous_implementation():
                 start = got
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_fm_pass_idle_cutoff_matches_oracle(m, monkeypatch):
+    monkeypatch.setattr(partition_module, "_FM_IDLE_MOVES", m)
+    rng = np.random.default_rng(23)
+    changed = 0
+    for _ in range(150):
+        g, node_w, part, k, maxw = _random_refine_case(rng)
+        lists = oracles.adjacency_lists(g)
+        got, gain = _fm_pass(g.adjacency, node_w, part, k, maxw)
+        want, want_gain = oracles.fm_pass(lists, node_w, part, k, maxw, idle_limit=m)
+        assert np.array_equal(got, want) and gain == want_gain
+        full, full_gain = oracles.fm_pass(lists, node_w, part, k, maxw)
+        changed += full_gain != want_gain or not np.array_equal(full, want)
+    assert changed > 0  # the limit binds on some cases, so the match above is not vacuous
+
+
 def _random_geometric_graph(n, seed):
     rng = np.random.default_rng(seed)
     meta = [SensorMeta(f"G{i:04d}", float(37.0 + a), float(-122.0 + b))
@@ -348,6 +364,14 @@ def test_overlap_huge_threshold_keeps_at_most_one():
     kept = add_overlap_nodes(g, assignment, part=0, horizon_k=3, d_prime=1e9,
                              provider=provider)
     assert kept == [1]  # greedy keeps only the closest candidate
+
+
+@pytest.mark.parametrize("d_prime", [0.0, -1.0, float("nan")])
+def test_overlap_rejects_threshold_that_is_not_positive(d_prime):
+    g, assignment, provider = _halo_setup()
+    with pytest.raises(ValueError, match="d_prime"):
+        add_overlap_nodes(g, assignment, part=0, horizon_k=3, d_prime=d_prime,
+                          provider=provider)
 
 
 def test_overlap_no_candidates():
