@@ -121,7 +121,7 @@ def read_timeseries_csv(path) -> TimeSeriesPanel:
         raise DataError(f"{path}: no observations")
     raw = sorted(stamps)
     times = np.array(raw, dtype="datetime64[s]")  # one vectorised parse, no per-row scalars
-    lo, hi = times[0], times[-1]
+    lo, hi = times.min(), times.max()  # raw strings sort by spelling, not by time
     grid = np.arange(lo, hi + TICK, TICK)
     grid_index = {str(t): i for i, t in enumerate(grid)}
     row_of = {ts: grid_index.get(str(t)) for ts, t in zip(raw, times)}

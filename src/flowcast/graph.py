@@ -2,13 +2,14 @@
 
 Node indices are always assigned in ascending sensor_id order, so every
 derived structure is independent of the input row order. Candidate edges
-come from great-circle k-nearest-neighbor search; edge weights come from a
-pluggable driving-distance provider pushed through exp(-(d/sigma)^2).
+come from a grid-screened, exact great-circle k-nearest-neighbor search; edge
+weights are a pluggable driving-distance provider's d through exp(-(d/sigma)^2).
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import urllib.error
@@ -102,7 +103,7 @@ class SensorGraph:
             "kernel_sigma": self.kernel_sigma,
             "kernel_thresh": self.kernel_thresh,
             "threshold_on": self.threshold_on,
-            "edges": [[int(ri), int(ci), float(vi)] for ri, ci, vi in zip(r, c, v)],
+            "edges": list(zip(r.tolist(), c.tolist(), v.tolist())),
         }
         Path(path).write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
 
@@ -156,7 +157,7 @@ class ProviderError(DataError):
 
 
 class DistanceProvider:
-    """Base of the providers: `dist(i, j)` in miles, and `nearest` built on it."""
+    """Base of the providers: `dist(i, j)` in miles, and `nearest` and `thin` built on it."""
 
     def nearest(self, sources, count: int, n_nodes: int) -> list[list[tuple[float, int]]]:
         """Per source v: its `count` nearest other nodes among 0..n_nodes-1 as
@@ -166,6 +167,15 @@ class DistanceProvider:
         """
         return [sorted((self.dist(int(v), u), u) for u in range(n_nodes) if u != v)[:count]
                 for v in sources]
+
+    def thin(self, ordered, d_prime: float) -> list[int]:
+        """Keep each node of `ordered` in turn unless a kept node is within d_prime
+        of it by the smaller of the two query directions; asks `dist` per pair."""
+        kept: list[int] = []
+        for c in ordered:
+            if not any(min(self.dist(c, h), self.dist(h, c)) <= d_prime for h in kept):
+                kept.append(c)
+        return kept
 
 
 class HaversineDistances(DistanceProvider):
@@ -192,22 +202,37 @@ class HaversineDistances(DistanceProvider):
         Over 3,000 points uniform on the sphere e was at most 1.2e-10 mi
         (5.4e-14 relative). Near antipodes, where a is within an ulp of 1, asin
         widens it to 1.2e-4 mi at d ~ 12,437 mi; the relative term allows 1.2e-2.
+        `_grid_screen` leaves out only nodes whose true distance exceeds that
+        bound, so whose d and d~ exceed t~ + e: they rank after the count-th.
         """
         if n_nodes > len(self._lat):
             raise ProviderError(f"{n_nodes} nodes but coordinates for {len(self._lat)}")
         count = min(count, n_nodes - 1)
         if count < 1:
             return [[] for _ in sources]
-        lat = np.radians(self._lat[:n_nodes])
-        lon = np.radians(self._lon[:n_nodes])
-        out = []
-        for rows, d in _great_circle_blocks(lat, lon, np.asarray(sources, dtype=np.int64)):
-            d[np.arange(rows.size), rows] = np.inf  # a node is never its own neighbor
-            bound = np.partition(d, count - 1, axis=1)[:, count - 1] * (1.0 + 1e-6) + 1e-9
-            for v, row, b in zip(rows.tolist(), d, bound):
-                ranked = sorted((self.dist(v, u), u) for u in np.flatnonzero(row <= b).tolist())
-                out.append(ranked[:count])
+        sources = np.asarray(sources, dtype=np.int64)
+        out: list = [None] * sources.size
+        lat, lon = np.radians(self._lat[:n_nodes]), np.radians(self._lon[:n_nodes])
+        for pos, cols, d, bound in _grid_screen(lat, lon, sources, count):
+            for p, v, row, b in zip(pos.tolist(), sources[pos].tolist(), d, bound):
+                out[p] = sorted((self.dist(v, u), u) for u in cols[row <= b].tolist())[:count]
         return out
+
+    def thin(self, ordered, d_prime: float) -> list[int]:
+        """The default's list. With d~ within e of d as in `nearest`, d~ <= d_prime
+        (1 - 1e-6) - 1e-9 proves a pair near and d~ > d_prime (1 + 1e-6) + 1e-9
+        far while e <= 1e-6 d_prime + 1e-9; only pairs between go to `dist`."""
+        lat, lon = np.radians(self._lat), np.radians(self._lon)
+        near, far = d_prime * (1.0 - 1e-6) - 1e-9, d_prime * (1.0 + 1e-6) + 1e-9
+        cand, kept = np.asarray(ordered, dtype=np.int64), np.zeros(len(ordered), dtype=bool)
+        step = max(1, (1 << 18) // max(1, cand.size))  # about 2 MB blocks
+        for lo in range(0, cand.size, step):
+            d = _great_circle(lat, lon, cand[lo:lo + step], cand[:lo + step])
+            for i in range(lo, min(lo + step, cand.size)):
+                if not (kept[:i] & (d[i - lo, :i] <= near)).any():
+                    c, band = int(cand[i]), cand[:i][kept[:i] & (d[i - lo, :i] <= far)].tolist()
+                    kept[i] = not any(min(self.dist(c, h), self.dist(h, c)) <= d_prime for h in band)
+        return cand[kept].tolist()
 
 
 class TableDistances(DistanceProvider):
@@ -293,17 +318,67 @@ class RoutingServiceClient(DistanceProvider):
 # ----------------------------------------------------------------------
 
 
-def _great_circle_blocks(lat: np.ndarray, lon: np.ndarray, rows: np.ndarray):
-    """Yield (block, miles[block, n]) over `rows` in blocks of about 2^18 cells,
-    so memory stays linear in n. lat and lon are in radians."""
-    cos_lat = np.cos(lat)
-    step = max(1, (1 << 18) // lat.size)  # 2 MB per temporary
-    for lo in range(0, rows.size, step):
-        block = rows[lo:lo + step]
-        dphi = lat[block, None] - lat[None, :]
-        dlam = lon[block, None] - lon[None, :]
-        a = np.sin(dphi / 2.0) ** 2 + cos_lat[block, None] * cos_lat[None, :] * np.sin(dlam / 2.0) ** 2
-        yield block, 2.0 * EARTH_RADIUS_MILES * np.arcsin(np.minimum(1.0, np.sqrt(a)))
+def _great_circle(lat: np.ndarray, lon: np.ndarray, rows, cols) -> np.ndarray:
+    """miles[rows, cols] (radians in); elementwise, so blocks agree with whole rows."""
+    dphi = lat[rows, None] - lat[None, cols]
+    dlam = lon[rows, None] - lon[None, cols]
+    a = np.sin(dphi / 2.0) ** 2 + np.cos(lat[rows, None]) * np.cos(lat[None, cols]) * np.sin(dlam / 2.0) ** 2
+    return 2.0 * EARTH_RADIUS_MILES * np.arcsin(np.minimum(1.0, np.sqrt(a)))
+
+
+def _grid_screen(lat: np.ndarray, lon: np.ndarray, rows: np.ndarray, count: int):
+    """Yield (pos, cols, d, bound) per block of `rows`: d = miles[rows[pos], cols]
+    over ascending cols, a row's own column at inf; bound = t~ (1 + 1e-6) + 1e-9
+    per row, t~ its count-th smallest d.
+
+    Unit vectors on their principal axes sit in a 3-D grid of about `count`
+    points per cell, so poles and the antimeridian need no special case. A
+    block's cols are the nodes of the cells within Chebyshev index distance r
+    of its own. Cells more than r apart on an axis put two points more than
+    r * edge apart there, less the rounding of the vectors, the turn and
+    floor(x / edge) (under 1e-14), so other nodes lie beyond reach = 2 R asin(
+    (r * edge - 1e-12) / 2). r doubles until reach exceeds every bound; cols
+    then hold every node the whole row ranks at or before t~, at equal values.
+    """
+    xyz = np.stack([np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)], axis=1)
+    centered = xyz - xyz.mean(axis=0)
+    xyz = xyz @ np.linalg.eigh(centered.T @ centered)[1]  # a patch of the sphere lies in two axes
+    ext = np.sort(np.ptp(xyz, axis=0))[::-1]
+    n_cells = max(1.0, lat.size / count)  # the edge that splits the extent into n_cells
+    edge = max(1e-9, *((np.prod(ext[:j]) / n_cells) ** (1.0 / j) for j in (1, 2, 3)))
+    idx = (np.floor(xyz / edge) - np.floor(xyz.min(axis=0) / edge)).astype(np.int64)
+    dims = tuple((idx.max(axis=0) + 1).tolist())  # edge >= ext[0] / n_cells: each < n_cells + 2
+    keys, cell_of = np.unique(np.ravel_multi_index(idx.T, dims), return_inverse=True)
+    cells = np.stack(np.unravel_index(keys, dims), axis=1)
+    members = np.argsort(cell_of, kind="stable")  # node indices grouped by cell, ascending
+    starts = np.searchsorted(cell_of[members], np.arange(len(cells) + 1))
+    index = {key: c for c, key in enumerate(map(tuple, cells.tolist()))}
+
+    def ring(c: int, r: int) -> list[int]:
+        """The occupied cells within Chebyshev index distance r of cell c."""
+        if (2 * r + 1) ** 3 > len(cells):  # scan the occupied cells, not (2r + 1)^3 mostly empty ones
+            return np.flatnonzero(np.abs(cells - cells[c]).max(axis=1) <= r).tolist()
+        near = itertools.product(*(range(x - r, x + r + 1) for x in cells[c].tolist()))
+        return [index[key] for key in near if key in index]
+
+    row_cell = cell_of[rows]
+    for c in np.unique(row_cell).tolist():
+        group = np.flatnonzero(row_cell == c)
+        step = max(1, (1 << 18) // sum(starts[q + 1] - starts[q] for q in ring(c, 1)))  # ~2 MB blocks
+        for pos in (group[lo:lo + step] for lo in range(0, group.size, step)):
+            block, r = rows[pos], 1
+            while True:
+                cells_r = ring(c, r)
+                cols = np.sort(np.concatenate([members[starts[q]:starts[q + 1]] for q in cells_r]))
+                d = _great_circle(lat, lon, block, cols)
+                d[np.arange(block.size), np.searchsorted(cols, block)] = np.inf
+                bound = (np.partition(d, count - 1, axis=1)[:, count - 1] * (1.0 + 1e-6) + 1e-9
+                         if cols.size > count else np.full(block.size, np.inf))
+                reach = 2.0 * EARTH_RADIUS_MILES * math.asin(min(1.0, (r * edge - 1e-12) / 2.0))
+                if len(cells_r) == len(cells) or reach > bound.max():
+                    break
+                r *= 2
+            yield pos, cols, d, bound
 
 
 def knn_candidates(meta: list[SensorMeta], k: int) -> set[tuple[int, int]]:
@@ -317,14 +392,15 @@ def knn_candidates(meta: list[SensorMeta], k: int) -> set[tuple[int, int]]:
     if k < 1:
         raise ValueError("k must be at least 1")
     ordered = canonical_order(meta)
-    n = len(ordered)
+    take = min(k, len(ordered) - 1)
+    if take < 1:
+        return set()
     lat = np.radians([m.latitude for m in ordered])
     lon = np.radians([m.longitude for m in ordered])
     pairs: set[tuple[int, int]] = set()
-    for rows, d in _great_circle_blocks(lat, lon, np.arange(n)):
-        # a stable sort breaks distance ties on ascending index; a node is never its own neighbor
-        d[np.arange(rows.size), rows] = np.inf
-        nearest = np.argsort(d, axis=1, kind="stable")[:, :min(k, n - 1)]
+    for rows, cols, d, _ in _grid_screen(lat, lon, np.arange(lat.size), take):
+        # a stable sort over ascending columns breaks distance ties on ascending index
+        nearest = cols[np.argsort(d, axis=1, kind="stable")[:, :take]]
         pairs.update((i, j) for i, row in zip(rows.tolist(), nearest.tolist()) for j in row)
     return pairs
 

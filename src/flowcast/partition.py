@@ -10,10 +10,10 @@ rows of the moved node's neighbors, as in Fiduccia-Mattheyses.
 
 Halo selection adds, per partition, nearby out-of-partition nodes and
 greedily thins them so no two kept halos are within the distance threshold.
-The provider ranks each owned node's nearest nodes in one call: the
-great-circle provider screens whole rows with numpy and ranks only a
-candidate set by its exact distance, giving the same lists as a scan of every
-pair; table and routing providers still query every (owned, node) pair.
+The provider ranks and thins in one call each. The great-circle provider
+screens pairs with numpy (a cell grid, then a band around d_prime) and asks
+its exact distance only inside the screens, giving a scan's halos; table and
+routing providers still query every pair.
 """
 
 from __future__ import annotations
@@ -96,15 +96,6 @@ def symmetrize(graph: SensorGraph) -> SensorGraph:
     return SensorGraph(graph.sensor_ids, combined)
 
 
-def _adjacency_lists(graph: SensorGraph):
-    adj = graph.adjacency
-    return [
-        (adj.indices[adj.indptr[i]:adj.indptr[i + 1]],
-         adj.data[adj.indptr[i]:adj.indptr[i + 1]])
-        for i in range(graph.n_nodes)
-    ]
-
-
 # ----------------------------------------------------------------------
 # phase 1: coarsening by heavy-edge matching
 # ----------------------------------------------------------------------
@@ -117,14 +108,14 @@ def heavy_edge_matching(graph: SensorGraph, order) -> np.ndarray:
     fine member so the labeling does not depend on the visit order.
     """
     n = graph.n_nodes
-    adj = _adjacency_lists(graph)
+    indptr, indices, data = graph.adjacency.indptr, graph.adjacency.indices, graph.adjacency.data
     mate = -np.ones(n, dtype=np.int64)
     for v in order:
         if mate[v] >= 0:
             continue
-        nbrs, ws = adj[v]
+        lo, hi = indptr[v], indptr[v + 1]
         best, best_w = -1, 0.0
-        for u, w in zip(nbrs, ws):
+        for u, w in zip(indices[lo:hi], data[lo:hi]):
             if u == v or mate[u] >= 0:
                 continue
             if w > best_w or (w == best_w and (best == -1 or u < best)):
@@ -186,7 +177,7 @@ def initial_partition(graph: SensorGraph, k: int, seed: int = 0,
         raise DataError("k exceeds nodes")
     if node_weights is None:
         node_weights = np.ones(n)
-    adj = _adjacency_lists(graph)
+    indptr, indices, data = graph.adjacency.indptr, graph.adjacency.indices, graph.adjacency.data
     rng = np.random.default_rng(seed)
     part = np.zeros(n, dtype=np.int64)
 
@@ -205,7 +196,8 @@ def initial_partition(graph: SensorGraph, k: int, seed: int = 0,
             weight = float(node_weights[start])
             count = 1
             conn = np.zeros(n)
-            for u, w in zip(*adj[start]):
+            lo, hi = indptr[start], indptr[start + 1]
+            for u, w in zip(indices[lo:hi], data[lo:hi]):
                 if member[u]:
                     conn[u] += w
             while count < nodes.size - k2:
@@ -220,12 +212,14 @@ def initial_partition(graph: SensorGraph, k: int, seed: int = 0,
                 region[pick] = True
                 weight += float(node_weights[pick])
                 count += 1
-                for u, w in zip(*adj[pick]):
+                lo, hi = indptr[pick], indptr[pick + 1]
+                for u, w in zip(indices[lo:hi], data[lo:hi]):
                     if member[u]:
                         conn[u] += w
             cut = 0.0
             for v in np.flatnonzero(region):
-                for u, w in zip(*adj[v]):
+                lo, hi = indptr[v], indptr[v + 1]
+                for u, w in zip(indices[lo:hi], data[lo:hi]):
                     if member[u] and not region[u]:
                         cut += w
             score = (cut, abs(weight - target))
@@ -436,9 +430,9 @@ def add_overlap_nodes(graph: SensorGraph, assignment: PartitionAssignment, part:
     Candidates are the union over owned nodes v of v's horizon_k nearest other
     nodes (provider distance from v, ties on index), minus the partition
     itself; `provider.nearest` ranks them for all owned nodes in one call.
-    They are scanned by ascending distance to the partition (ties on index)
-    and kept only when farther than d_prime from every halo kept so far, using
-    the smaller of the two query directions as the pair distance.
+    `provider.thin` scans them by ascending distance to the partition (ties on
+    index) and keeps one only when farther than d_prime from every halo kept
+    so far, using the smaller of the two query directions as the pair distance.
     """
     if not d_prime > 0:  # NaN would keep every candidate
         raise ValueError("d_prime must be positive")
@@ -457,17 +451,7 @@ def add_overlap_nodes(graph: SensorGraph, assignment: PartitionAssignment, part:
             if u not in dist_to_part or d < dist_to_part[u]:
                 dist_to_part[u] = d
     ordered = sorted(candidates, key=lambda u: (dist_to_part[u], u))
-    kept: list[int] = []
-    for c in ordered:
-        near = False
-        for h in kept:
-            pair = min(provider.dist(c, h), provider.dist(h, c))
-            if pair <= d_prime:
-                near = True
-                break
-        if not near:
-            kept.append(c)
-    return kept
+    return provider.thin(ordered, d_prime)
 
 
 def extract_subgraphs(graph: SensorGraph, assignment: PartitionAssignment,

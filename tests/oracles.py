@@ -5,12 +5,14 @@ finite differences for gradients, dense matrix algebra for sparse products
 and diffusion filters, and exhaustive enumeration for partition cuts. The
 previous scalar FM refinement and kNN search are kept here too, as oracles
 for their vectorized replacements, and so is the previous halo selection,
-which ranks every node by one provider call per pair, and the previous tape
-walk, which keeps every record and every intermediate gradient.
+which ranks every node by one provider call per pair, the previous tape
+walk, which keeps every record and every intermediate gradient, and the
+previous graph file encoding, which converts each edge field on its own.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -293,6 +295,33 @@ def knn_candidates(meta: list[SensorMeta], k: int) -> set[tuple[int, int]]:
 
 
 # ----------------------------------------------------------------------
+# point layouts for the great-circle oracles
+# ----------------------------------------------------------------------
+
+
+def degenerate_layouts(rng) -> list[tuple[str, np.ndarray, np.ndarray]]:
+    """(name, lat, lon) sets in degrees that defeat a naive lat/lon or cell screen."""
+    n = 60
+    scatter = (np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, 40))), rng.uniform(-180.0, 180.0, 40))
+    return [
+        ("all coincident", np.full(25, 37.5), np.full(25, -122.25)),
+        ("one parallel", np.full(n, 40.0), rng.uniform(-180.0, 180.0, n)),
+        ("one meridian", np.concatenate([[90.0, -90.0], rng.uniform(-90.0, 90.0, n)]),
+         np.full(n + 2, -100.0)),
+        ("cluster straddling lon +-180", rng.uniform(59.9, 60.1, n),
+         np.where(rng.uniform(size=n) < 0.5, rng.uniform(179.9, 180.0, n),
+                  rng.uniform(-180.0, -179.9, n))),
+        ("within 0.01 deg of the south pole", rng.uniform(-90.0, -89.99, 30),
+         rng.uniform(-180.0, 180.0, 30)),
+        # the cluster's rows must grow their ring to the far scatter once count >= 500
+        ("globe scatter plus a 0.01 deg cluster",
+         np.concatenate([scatter[0], 10.0 + rng.uniform(0.0, 0.01, 500)]),
+         np.concatenate([scatter[1], 20.0 + rng.uniform(0.0, 0.01, 500)])),
+        ("fewer points than count", np.array([0.0, 45.0, -30.0]), np.array([0.0, 90.0, 170.0])),
+    ]
+
+
+# ----------------------------------------------------------------------
 # the previous halo selection: one provider call per (owned, node) pair
 # ----------------------------------------------------------------------
 # Kept verbatim as the oracle for add_overlap_nodes on every provider.
@@ -371,3 +400,23 @@ def assert_backward_matches_oracle(tape, loss) -> dict[int, np.ndarray]:
         assert np.array_equal(g, expected[uid]), f"gradient of tensor {uid} differs"
     assert not tape._records
     return got
+
+
+# ----------------------------------------------------------------------
+# the previous graph file encoding: one int() or float() per edge field
+# ----------------------------------------------------------------------
+# Kept as the oracle for SensorGraph.save, which converts whole arrays.
+
+
+def graph_json(graph) -> str:
+    r, c, v = graph.adjacency.triples()
+    doc = {
+        "format": "flowcast-graph-v1",
+        "n_nodes": graph.n_nodes,
+        "sensor_ids": graph.sensor_ids,
+        "kernel_sigma": graph.kernel_sigma,
+        "kernel_thresh": graph.kernel_thresh,
+        "threshold_on": graph.threshold_on,
+        "edges": [[int(ri), int(ci), float(vi)] for ri, ci, vi in zip(r, c, v)],
+    }
+    return json.dumps(doc, sort_keys=True)

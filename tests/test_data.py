@@ -46,6 +46,12 @@ def test_timeseries_csv_round_trip(tmp_path):
     assert back.node_ids == panel.node_ids
     assert np.array_equal(back.mask, panel.mask)
     assert np.array_equal(back.values[~back.mask], panel.values[~panel.mask])
+    mixed = tmp_path / "mixed.csv"  # one 5-minute grid spelled in two ISO forms
+    mixed.write_text("timestamp,sensor_id,speed,flow\n2024-01-01T00:00:00,a,1,2\n"
+                     "2024-01-01 00:05:00,a,3,4\n2024-01-01T00:10:00,a,5,6\n")
+    back = read_timeseries_csv(mixed)
+    assert np.array_equal(back.timestamps, np.datetime64("2024-01-01", "s") + np.arange(3) * TICK)
+    assert back.values[:, 0, 0].tolist() == [1.0, 3.0, 5.0]
 
 
 def test_timeseries_csv_errors(tmp_path):

@@ -13,6 +13,7 @@ from flowcast.graph import (HaversineDistances, ProviderError, RoutingServiceCli
                             SensorGraph, SensorMeta, TableDistances, build_adjacency,
                             canonical_order, haversine_miles, knn_candidates,
                             read_metadata_csv, write_metadata_csv)
+from flowcast.sparse import CsrMatrix
 
 import oracles
 
@@ -64,7 +65,7 @@ def test_knn_is_independent_of_row_order():
 
 def test_knn_matches_previous_implementation():
     rng = np.random.default_rng(31)
-    for n in [int(x) for x in rng.integers(1, 60, size=40)] + [700]:  # 700 spans two row blocks
+    for n in [int(x) for x in rng.integers(1, 60, size=40)] + [700]:  # 700 spans many grid cells
         coords = rng.uniform(size=(n, 2))
         dup = rng.integers(0, n, size=n // 3)
         coords[rng.integers(0, n, size=dup.size)] = coords[dup]  # zero-distance ties
@@ -72,6 +73,11 @@ def test_knn_matches_previous_implementation():
                 for i, (a, b) in enumerate(coords)]
         for k in (1, 3, int(rng.integers(1, n + 2))):
             assert knn_candidates(meta, k) == oracles.knn_candidates(meta, k)
+    for name, lat, lon in oracles.degenerate_layouts(np.random.default_rng(32)):
+        n = lat.size
+        meta = [SensorMeta(f"D{i:03d}", float(a), float(b)) for i, (a, b) in enumerate(zip(lat, lon))]
+        for k in sorted({1, 3, 30, n - 1, n + 1} - {0}):
+            assert knn_candidates(meta, k) == oracles.knn_candidates(meta, k), (name, k)
 
 
 def test_kernel_weight_values():
@@ -165,6 +171,15 @@ def test_graph_serialization_round_trip(tmp_path):
     assert np.array_equal(g2.adjacency.to_dense(), g.adjacency.to_dense())
     g2.save(path)
     assert path.read_bytes() == first  # byte-identical rewrite
+    awkward = [0.1, 1.0 / 3.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -2.5, 1e16 + 2.0, 1e-7, 123456.789, 0.30000000000000004]
+    n = len(awkward)
+    g3 = SensorGraph([f"A{i}" for i in range(n)],
+                     CsrMatrix.from_triples(n, n, np.arange(n), (np.arange(n) * 7 + 1) % n, awkward),
+                     kernel_sigma=math.pi, kernel_thresh=1e-300, threshold_on="weight")
+    for graph in (g, g3):
+        graph.save(path)
+        assert path.read_text(encoding="utf-8") == oracles.graph_json(graph)
     (tmp_path / "junk.json").write_text("{}")
     with pytest.raises(DataError):
         SensorGraph.load(tmp_path / "junk.json")

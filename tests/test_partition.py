@@ -444,7 +444,7 @@ def _haversine_point_sets(rng):
         sets.append((f"near-antipodal clusters ({jitter} deg)", lat, lon))
     sets.append(("exact antipodes", np.array([0.0, 0.0, 45.0, -45.0, 90.0, -90.0]),
                  np.array([0.0, 180.0, 10.0, -170.0, 0.0, 0.0])))
-    return sets
+    return sets + oracles.degenerate_layouts(np.random.default_rng(58))
 
 
 def test_haversine_halos_match_previous_implementation():
@@ -457,16 +457,24 @@ def test_haversine_halos_match_previous_implementation():
         k = int(rng.integers(1, min(4, n) + 1))
         part_of = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
         assignment = PartitionAssignment(rng.permutation(part_of), k)
-        sources = np.arange(n)
-        for horizon in range(1, n + 2):
+        small = n <= 60  # the large set: some sources, and horizons around its cluster's size
+        sources = np.arange(n) if small else np.arange(0, n, 9)
+        for horizon in range(1, n + 2) if small else (1, 2, 9, 40, 499, 500, n - 1, n, n + 1):
             assert (provider.nearest(sources, horizon, n)
                     == DistanceProvider.nearest(provider, sources, horizon, n)), (name, horizon)
-        for horizon in sorted({1, 2, int(rng.integers(1, n + 1)), 9, n - 1, n + 5} - {0}):
+        halo_horizons = {1, 2, int(rng.integers(1, n + 1)), 9, n - 1, n + 5} if small else {1, 9, 40}
+        for horizon in sorted(halo_horizons - {0}):
             d_prime = float(rng.choice([1e-3, 0.05, 5.0, 500.0]))
             for p in range(k):
                 kept = add_overlap_nodes(g, assignment, p, horizon, d_prime, provider)
                 assert kept == oracles.add_overlap_nodes(g, assignment, p, horizon, d_prime,
                                                          provider), (name, horizon, p)
+                # a pair at exactly d_prime sits inside the screen's band: `dist` decides it
+                exact = provider.dist(kept[0], kept[1]) if len(kept) > 1 else 0.0
+                if exact > 0.0:
+                    assert (add_overlap_nodes(g, assignment, p, horizon, exact, provider)
+                            == oracles.add_overlap_nodes(g, assignment, p, horizon, exact,
+                                                         provider)), (name, horizon, p, exact)
 
 
 # ----------------------------------------------------------------------
