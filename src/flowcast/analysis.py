@@ -9,7 +9,7 @@ normalized impurity decrease doubles as a factor importance score.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +20,7 @@ FACTORS = ("cov", "district", "sensor_type", "lane_type")
 _FACTOR_KINDS = ("numeric", "categorical", "categorical", "categorical")
 
 MAE_CLASS_EDGES = (1.0, 3.0, 5.0)  # [0,1) [1,3) [3,5) [5,inf)
+_CART_TEST_FRACTION = 0.2  # share of records held out to score the tree
 
 
 def coefficient_of_variation(panel: TimeSeriesPanel, feature: str = "speed"):
@@ -90,9 +91,6 @@ class CartNode:
 @dataclass
 class CartTree:
     root: CartNode
-    max_depth: int
-    n_classes: int
-    importances: dict[str, float] = field(default_factory=dict)
 
     def predict_one(self, cov: float, district: str, sensor_type: str, lane_type: str) -> int:
         row = (cov, district, sensor_type, lane_type)
@@ -159,8 +157,7 @@ def _best_split(cols, y, idx, n_classes):
     return best
 
 
-def train_cart(records: list[ErrorRecord], depth: int = 8, test_fraction: float = 0.2,
-               seed: int = 0):
+def train_cart(records: list[ErrorRecord], depth: int = 8, seed: int = 0):
     """Greedy Gini CART over the four factors with an 80/20 shuffled split.
 
     Returns (tree, train_accuracy, test_accuracy, importances); importances are
@@ -172,7 +169,7 @@ def train_cart(records: list[ErrorRecord], depth: int = 8, test_fraction: float 
     cols, y = _design_matrix(records)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(records))
-    n_train = max(1, int(len(records) * (1.0 - test_fraction)))
+    n_train = max(1, int(len(records) * (1.0 - _CART_TEST_FRACTION)))
     train_idx, test_idx = perm[:n_train], perm[n_train:]
     n_classes = len(MAE_CLASS_EDGES) + 1
     raw_importance = np.zeros(len(FACTORS))
@@ -197,7 +194,7 @@ def train_cart(records: list[ErrorRecord], depth: int = 8, test_fraction: float 
     total = raw_importance.sum()
     importances = {name: (float(v / total) if total > 0 else 0.0)
                    for name, v in zip(FACTORS, raw_importance)}
-    tree = CartTree(root, depth, n_classes, importances)
+    tree = CartTree(root)
     pred = tree.predict(records)
     train_acc = float((pred[train_idx] == y[train_idx]).mean())
     test_acc = float((pred[test_idx] == y[test_idx]).mean()) if test_idx.size else train_acc
@@ -217,10 +214,6 @@ class BoxStats:
     whisker_low: float
     whisker_high: float
     outliers: list[float]
-
-    @property
-    def iqr(self) -> float:
-        return self.q3 - self.q1
 
 
 def mae_distribution_stats(values) -> BoxStats:

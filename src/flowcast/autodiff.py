@@ -144,18 +144,6 @@ class Tape:
 
         return self._emit(out, tuple(parts), backward)
 
-    def select_channels(self, x: Tensor, idx: Sequence[int]) -> Tensor:
-        idx = list(int(i) for i in idx)
-        out = x.value[..., idx]
-
-        def backward(g):
-            gx = np.zeros_like(x.value)
-            for pos, i in enumerate(idx):
-                gx[..., i] += g[..., pos]
-            return (gx,)
-
-        return self._emit(out, (x,), backward)
-
     def mean_abs(self, a: Tensor, b: Tensor) -> Tensor:
         """Mean absolute deviation over all elements; scalar output."""
         if a.value.shape != b.value.shape:

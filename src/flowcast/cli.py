@@ -32,8 +32,7 @@ _DEFAULTS = {
               "units": "16", "diffusion_steps": "2", "filter_type": "random_walk"},
     "training": {"batch_size": "64", "epochs": "30", "patience": "10",
                  "learning_rate": "0.01", "lr_decay": "0.1", "lr_milestones": "",
-                 "max_grad_norm": "5.0", "sampling_tau": "40.0", "seed": "0",
-                 "workers": "1"},
+                 "max_grad_norm": "5.0", "sampling_tau": "40.0", "seed": "0"},
     "synth": {"nodes": "24", "days": "14", "clusters": "2", "noise": "0.05",
               "seed": "0", "congestion_windows": "7-9,16-18"},
 }
@@ -226,7 +225,7 @@ def cmd_partition(config: PipelineConfig) -> None:
              part_sizes=[int((assignment.part_of == p).sum()) for p in range(k)])
 
 
-def cmd_train(config: PipelineConfig, workers: int | None = None) -> None:
+def cmd_train(config: PipelineConfig, workers: int = 1) -> None:
     out_dir = config.path("output_dir")
     bundles = partmod.read_bundles(out_dir / "bundles")
     _, (train_panel, valid_panel, _) = _load_split_panels(config)
@@ -236,7 +235,7 @@ def cmd_train(config: PipelineConfig, workers: int | None = None) -> None:
         mode=config.get("model", "mode"),
         lookback=config.get_int("model", "lookback"),
         horizon=config.get_int("model", "horizon"),
-        workers=workers if workers is not None else config.get_int("training", "workers"),
+        workers=workers,
     )
     ckpt_dir = out_dir / "checkpoints"
     ckpt_dir.mkdir(parents=True, exist_ok=True)
@@ -330,7 +329,7 @@ def cmd_analyze(config: PipelineConfig) -> None:
         raise ConfigError(f"missing {mae_path}; run evaluate first")
     meta = {m.sensor_id: m for m in
             graphmod.read_metadata_csv(config.path("metadata", must_exist=True))}
-    imputed, _ = _load_split_panels(config)
+    imputed, (_, _, test_panel) = _load_split_panels(config)
     mode = config.get("model", "mode")
     primary_feature = "flow" if mode == "flow_only" else "speed"
     cov, zero_mean = analysis.coefficient_of_variation(imputed, primary_feature)
@@ -362,7 +361,6 @@ def cmd_analyze(config: PipelineConfig) -> None:
     if mode == "multioutput":
         bundles = partmod.read_bundles(out_dir / "bundles")
         checkpoints = _load_checkpoints(out_dir, bundles)
-        _, (_, _, test_panel) = _load_split_panels(config)
         lookback = config.get_int("model", "lookback")
         horizon = config.get_int("model", "horizon")
         all_rows = []
@@ -412,7 +410,7 @@ def main(argv=None) -> int:
         p.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
                        help="override a config value")
         if name == "train":
-            p.add_argument("--workers", type=int, default=None,
+            p.add_argument("--workers", type=int, default=1,
                            help="partition-parallel worker processes")
     args = parser.parse_args(argv)
     try:

@@ -84,8 +84,8 @@ class TimeSeriesPanel:
 
 
 def read_timeseries_csv(path) -> TimeSeriesPanel:
-    cells: dict[tuple[str, str], tuple[float, float, bool, bool]] = {}
-    stamps: set[str] = set()  # distinct raw timestamps, each validated once
+    cells: dict[tuple[int, str], tuple[float, float, bool, bool]] = {}
+    seconds: dict[str, int] = {}  # raw timestamp -> epoch seconds, each spelling parsed once
     nodes: set[str] = set()
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -96,45 +96,48 @@ def read_timeseries_csv(path) -> TimeSeriesPanel:
             if len(row) != 4:
                 raise DataError(f"{path}: row {lineno}: expected 4 fields")
             ts, sid = row[0].strip(), row[1].strip()
-            if ts not in stamps:
+            sec = seconds.get(ts)
+            if sec is None:
                 try:
-                    np.datetime64(ts)
+                    stamp = np.datetime64(ts, "s")
                 except ValueError:
-                    raise DataError(f"{path}: row {lineno}: bad timestamp {ts!r}") from None
-                stamps.add(ts)
+                    stamp = np.datetime64("NaT")
+                if np.isnat(stamp):
+                    raise DataError(f"{path}: row {lineno}: bad timestamp {ts!r}")
+                sec = seconds[ts] = int(stamp.astype(np.int64))
             vals, missing = [], []
             for text in (row[2].strip(), row[3].strip()):
                 if text == "":
                     vals.append(math.nan)
                     missing.append(True)
-                else:
-                    try:
-                        vals.append(float(text))
-                    except ValueError:
-                        raise DataError(f"{path}: row {lineno}: bad value {text!r}") from None
-                    missing.append(False)
-            if (ts, sid) in cells:
+                    continue
+                try:
+                    value = float(text)
+                except ValueError:
+                    value = math.nan  # reported below, like nan and inf spelled out
+                if not math.isfinite(value):
+                    raise DataError(f"{path}: row {lineno}: bad value {text!r}")
+                vals.append(value)
+                missing.append(False)
+            if (sec, sid) in cells:  # keyed by instant, so two spellings of one tick collide
                 raise DataError(f"{path}: row {lineno}: duplicate observation for {sid} at {ts}")
-            cells[(ts, sid)] = (vals[0], vals[1], missing[0], missing[1])
+            cells[(sec, sid)] = (vals[0], vals[1], missing[0], missing[1])
             nodes.add(sid)
     if not cells:
         raise DataError(f"{path}: no observations")
-    raw = sorted(stamps)
-    times = np.array(raw, dtype="datetime64[s]")  # one vectorised parse, no per-row scalars
-    lo, hi = times.min(), times.max()  # raw strings sort by spelling, not by time
-    grid = np.arange(lo, hi + TICK, TICK)
-    grid_index = {str(t): i for i, t in enumerate(grid)}
-    row_of = {ts: grid_index.get(str(t)) for ts, t in zip(raw, times)}
-    for ts, ti in row_of.items():
-        if ti is None:
+    tick = int(TICK / np.timedelta64(1, "s"))
+    lo, hi = min(seconds.values()), max(seconds.values())
+    for ts, sec in seconds.items():
+        if (sec - lo) % tick:
             raise DataError(f"{path}: timestamp {ts} is off the 5-minute grid")
+    grid = np.arange(lo, hi + tick, tick).astype("datetime64[s]")
     node_ids = sorted(nodes)
     node_index = {s: i for i, s in enumerate(node_ids)}
     t, n = len(grid), len(node_ids)
     values = np.full((t, n, 2), math.nan)
     mask = np.ones((t, n, 2), dtype=bool)
-    for (ts, sid), (speed, flow, m_sp, m_fl) in cells.items():
-        ti = row_of[ts]
+    for (sec, sid), (speed, flow, m_sp, m_fl) in cells.items():
+        ti = (sec - lo) // tick
         ni = node_index[sid]
         values[ti, ni, 0], values[ti, ni, 1] = speed, flow
         mask[ti, ni, 0], mask[ti, ni, 1] = m_sp, m_fl

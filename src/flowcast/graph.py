@@ -78,14 +78,6 @@ class SensorGraph:
         self.kernel_thresh = kernel_thresh
         self.threshold_on = threshold_on
 
-    def weight(self, i: int, j: int) -> float:
-        lo, hi = self.adjacency.indptr[i], self.adjacency.indptr[i + 1]
-        cols = self.adjacency.indices[lo:hi]
-        pos = np.searchsorted(cols, j)
-        if pos < cols.size and cols[pos] == j:
-            return float(self.adjacency.data[lo + pos])
-        return 0.0
-
     @property
     def n_edges(self) -> int:
         return self.adjacency.nnz
@@ -407,19 +399,19 @@ def knn_candidates(meta: list[SensorMeta], k: int) -> set[tuple[int, int]]:
 
 def build_adjacency(meta: list[SensorMeta], pairs: set[tuple[int, int]], provider,
                     thresh: float, sigma_mode: str | float = "auto",
-                    threshold_on: str = "distance_sq",
-                    self_loops: bool = False) -> SensorGraph:
+                    threshold_on: str = "distance_sq") -> SensorGraph:
     """Gaussian-kernel weights w = exp(-(d/sigma)^2) on pairs passing the threshold.
 
     threshold_on="distance_sq" keeps a pair when d^2 <= thresh;
     threshold_on="weight" keeps it when w >= thresh.
     sigma_mode is "auto" (population std of all queried distances) or a fixed float.
+    Self pairs (i, i) are skipped.
     """
     if threshold_on not in ("distance_sq", "weight"):
         raise ValueError(f"unknown threshold mode {threshold_on!r}")
     ordered = canonical_order(meta)
     n = len(ordered)
-    queried = sorted(p for p in pairs if self_loops or p[0] != p[1])
+    queried = sorted((i, j) for i, j in pairs if i != j)
     dists = np.empty(len(queried))
     for pos, (i, j) in enumerate(queried):
         d = provider.dist(i, j)

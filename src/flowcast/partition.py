@@ -168,8 +168,7 @@ def coarsen(graph: SensorGraph, min_size: int, seed: int = 0) -> list[CoarseLeve
 
 
 def initial_partition(graph: SensorGraph, k: int, seed: int = 0,
-                      node_weights: np.ndarray | None = None,
-                      imbalance: float = 0.05) -> PartitionAssignment:
+                      node_weights: np.ndarray | None = None) -> PartitionAssignment:
     if k < 1:
         raise ValueError("k must be at least 1")
     n = graph.n_nodes
@@ -403,7 +402,7 @@ def partition_graph(graph: SensorGraph, k: int, imbalance: float = 0.05,
     coarsest = max(i for i, lvl in enumerate(levels) if lvl.graph.n_nodes >= k)
     levels = levels[:coarsest + 1]
     init = initial_partition(levels[-1].graph, k, seed=seed,
-                             node_weights=levels[-1].node_weights, imbalance=imbalance)
+                             node_weights=levels[-1].node_weights)
     return refine_uncoarsen(levels, init, imbalance=imbalance, pass_log=pass_log)
 
 

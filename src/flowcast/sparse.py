@@ -87,11 +87,6 @@ class CsrMatrix:
         r, c = np.nonzero(a)
         return cls.from_triples(a.shape[0], a.shape[1], r, c, a[r, c])
 
-    @classmethod
-    def identity(cls, n: int) -> "CsrMatrix":
-        idx = np.arange(n, dtype=np.int64)
-        return cls(n, n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n))
-
     # ------------------------------------------------------------------
     # views and simple transforms
     # ------------------------------------------------------------------

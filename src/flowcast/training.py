@@ -30,7 +30,7 @@ from .optim import AdamState, adam_step, clip_by_global_norm
 from .partition import SubgraphBundle
 from .sparse import CsrMatrix
 
-MODES = ("speed_only", "flow_only", "multioutput")
+_EVAL_BATCH = 256  # windows per inference batch in evaluate()
 
 
 def mode_features(mode: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -112,7 +112,6 @@ class TrainReport:
     best_epoch: int = -1
     best_valid: float = math.inf
     wall_seconds: float = 0.0
-    node_mae: np.ndarray | None = None  # filled by evaluate() when test data exists
 
     @property
     def train_curve(self) -> list[float]:
@@ -427,15 +426,15 @@ class EvalResult:
 
 
 def evaluate(checkpoint: Checkpoint, test_windows: WindowedDataset,
-             bundle: SubgraphBundle, batch_size: int = 256) -> EvalResult:
+             bundle: SubgraphBundle) -> EvalResult:
     """Per-node MAE on held-out windows (original units), halo nodes excluded."""
     if list(bundle.graph.sensor_ids) != list(checkpoint.sensor_ids):
         raise DataError("bundle nodes do not match checkpoint nodes")
     params, supports = checkpoint.build_model()
     x, y = test_windows.x, test_windows.y
     abs_err_sum = np.zeros((y.shape[1], y.shape[2], y.shape[3]))
-    for lo in range(0, x.shape[0], batch_size):
-        hi = min(lo + batch_size, x.shape[0])
+    for lo in range(0, x.shape[0], _EVAL_BATCH):
+        hi = min(lo + _EVAL_BATCH, x.shape[0])
         z = transform_values(x[lo:hi], checkpoint.scaler, checkpoint.input_features)
         pred = predict(params, supports, z)
         pred = inverse_transform(pred, checkpoint.scaler, checkpoint.output_features)

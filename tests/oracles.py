@@ -8,6 +8,8 @@ for their vectorized replacements, and so is the previous halo selection,
 which ranks every node by one provider call per pair, the previous tape
 walk, which keeps every record and every intermediate gradient, and the
 previous graph file encoding, which converts each edge field on its own.
+The last section holds small readers that only tests need: one edge weight,
+an identity support and a box's interquartile range.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 from flowcast.errors import DataError
 from flowcast.graph import EARTH_RADIUS_MILES, SensorMeta, canonical_order
 from flowcast.partition import _MAX_FM_PASSES, CoarseLevel, PartitionAssignment
+from flowcast.sparse import CsrMatrix
 
 
 def finite_difference(f, arrays, step: float = 1e-5):
@@ -420,3 +423,29 @@ def graph_json(graph) -> str:
         "edges": [[int(ri), int(ci), float(vi)] for ri, ci, vi in zip(r, c, v)],
     }
     return json.dumps(doc, sort_keys=True)
+
+
+# ----------------------------------------------------------------------
+# readers that only tests need
+# ----------------------------------------------------------------------
+
+
+def edge_weight(graph, i: int, j: int) -> float:
+    """Weight of edge i -> j of a SensorGraph; 0.0 when there is no edge."""
+    lo, hi = graph.adjacency.indptr[i], graph.adjacency.indptr[i + 1]
+    cols = graph.adjacency.indices[lo:hi]
+    pos = np.searchsorted(cols, j)
+    if pos < cols.size and cols[pos] == j:
+        return float(graph.adjacency.data[lo + pos])
+    return 0.0
+
+
+def csr_identity(n: int) -> CsrMatrix:
+    """The n x n identity in CSR form."""
+    idx = np.arange(n, dtype=np.int64)
+    return CsrMatrix(n, n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n))
+
+
+def box_iqr(stats) -> float:
+    """Interquartile range of a BoxStats."""
+    return stats.q3 - stats.q1

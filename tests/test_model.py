@@ -264,6 +264,16 @@ def test_loss_examples():
         loss_multi(tape, Tensor(np.zeros((2, 1))), Tensor(np.zeros((2, 1))))
 
 
+def test_loss_multi_gradient_is_sign_over_feature_count():
+    rng = np.random.default_rng(4)
+    pred = Tensor(rng.normal(size=(3, 5, 6)))
+    target = rng.normal(size=(3, 5, 6))
+    target[0, 0, :2] = pred.value[0, 0, :2]  # ties: zero gradient
+    tape = Tape()
+    grad = tape.backward(loss_multi(tape, pred, tape.constant(target)))[pred.uid]
+    assert np.array_equal(grad, np.sign(pred.value - target) / (pred.value.size // 2))
+
+
 def test_seq2seq_loss_equals_elementwise_mae():
     g, cfg, sup, params, rng = _tiny_setup()
     window = rng.normal(size=(2, 3, 4, 1))

@@ -9,7 +9,8 @@ from flowcast.autodiff import Tape, Tensor, grads_for
 from flowcast.optim import AdamState, adam_step, clip_by_global_norm, global_norm
 from flowcast.sparse import DENSE_MAX_CELLS, CsrMatrix
 
-from oracles import assert_backward_matches_oracle, assert_grads_close, finite_difference
+from oracles import (assert_backward_matches_oracle, assert_grads_close, csr_identity,
+                     finite_difference)
 
 
 # ----------------------------------------------------------------------
@@ -63,7 +64,7 @@ def test_matmul_above_dense_cap_uses_gather_kernel():
     r, c = rng.integers(0, rows, size=3000), rng.integers(0, cols, size=3000)
     m = CsrMatrix.from_triples(rows, cols, r, c, rng.normal(size=3000))
     assert not m._use_dense_kernel()
-    assert CsrMatrix.identity(cols)._use_dense_kernel()
+    assert csr_identity(cols)._use_dense_kernel()
     tr, tc, tv = m.triples()
     x = rng.normal(size=(2, cols, 3))
     want = np.zeros((2, rows, 3))
@@ -144,7 +145,7 @@ def test_restrict_reorders_by_position():
 def test_spmm_identity_and_hand_example():
     tape = Tape()
     x = Tensor([[1.0], [2.0]])
-    assert np.array_equal(tape.spmm(CsrMatrix.identity(2), x).value, x.value)
+    assert np.array_equal(tape.spmm(csr_identity(2), x).value, x.value)
     s = CsrMatrix.from_dense([[0.0, 1.0], [0.0, 0.0]])
     assert tape.spmm(s, x).value.tolist() == [[2.0], [0.0]]
     zero = CsrMatrix.from_triples(2, 2, [], [], [])
@@ -229,7 +230,7 @@ def _composite_loss(params, s):
     g = tape.sigmoid(tape.matmul(z, Tensor(w1)))
     mixed = tape.hadamard(g, tape.sub_from_one(h))
     out = tape.matmul(mixed, Tensor(w2))
-    picked = tape.select_channels(tape.concat([out, out]), [0, 1])
+    picked = tape.concat([out, out])
     target = tape.constant(np.full(picked.value.shape, 0.3))
     scaled = tape.hadamard(picked, tape.constant(np.full(picked.value.shape, 1.5)))
     return tape, tape.mean_abs(scaled, target)
@@ -255,7 +256,7 @@ def test_composite_gradients_match_finite_differences():
         g = tape.sigmoid(tape.matmul(z, leaves[0]))
         mixed = tape.hadamard(g, tape.sub_from_one(h))
         out = tape.matmul(mixed, leaves[1])
-        picked = tape.select_channels(tape.concat([out, out]), [0, 1])
+        picked = tape.concat([out, out])
         target = tape.constant(np.full(picked.value.shape, 0.3))
         scaled = tape.hadamard(picked, tape.constant(np.full(picked.value.shape, 1.5)))
         return tape, tape.mean_abs(scaled, target)

@@ -55,9 +55,9 @@ def test_symmetrize_fixed_point_on_symmetric_graph():
 
 def test_symmetrize_one_sided_and_two_sided():
     one = symmetrize(graph_of([[0.0, 0.5], [0.0, 0.0]]))
-    assert one.weight(0, 1) == 0.5 and one.weight(1, 0) == 0.5
+    assert oracles.edge_weight(one, 0, 1) == 0.5 and oracles.edge_weight(one, 1, 0) == 0.5
     two = symmetrize(graph_of([[0.0, 0.3], [0.2, 0.0]]))
-    assert two.weight(0, 1) == 0.5 and two.weight(1, 0) == 0.5
+    assert oracles.edge_weight(two, 0, 1) == 0.5 and oracles.edge_weight(two, 1, 0) == 0.5
 
 
 # ----------------------------------------------------------------------
@@ -94,7 +94,7 @@ def test_coarsen_sums_constituent_weights():
     top = levels[-1].graph
     assert top.n_nodes == 2
     # both weak edges now connect the two coarse nodes
-    assert top.weight(0, 1) == 3.0 and top.weight(1, 0) == 3.0
+    assert oracles.edge_weight(top, 0, 1) == 3.0 and oracles.edge_weight(top, 1, 0) == 3.0
 
 
 # ----------------------------------------------------------------------

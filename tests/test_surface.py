@@ -1,14 +1,18 @@
 """The library exports only what the program, the benchmark or the README uses.
 
-Every public top-level function and every public method of a top-level class
-in `src/flowcast` must be referenced by name somewhere under `src/` or
-`perfbench/` (its own `def` line does not count) or on a line of the README.
-A name that only tests call belongs in the tests. The check is by name, so a
-method that shares its name with another callable passes once either is used.
+Every public top-level function of `src/flowcast` must be referenced by an
+identifier token somewhere in the code under `src/` or `perfbench/` (the name
+its own `def` introduces does not count) or by name on a line of the README.
+Every public method of a top-level class must appear as an attribute access
+`.name`, in that code or in the README. Comments and strings are not code
+tokens, so a name that only they mention is unreferenced. A name that only
+tests call belongs in the tests. The check is by name, so a method that shares
+its name with another attribute passes once either is used.
 """
 
 import ast
 import re
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,21 +52,36 @@ def _public_surface() -> list[tuple[str, str]]:
     return out
 
 
-def _reference_lines() -> list[str]:
+def _code_references() -> tuple[set[str], set[str]]:
+    """(identifiers, attribute names) used by the code under src/ and perfbench/."""
+    names, attributes = set(), set()
     files = sorted(PACKAGE.parent.rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
-    lines = [line for p in files for line in p.read_text(encoding="utf-8").splitlines()]
-    return lines + (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    skip = {tokenize.NL, tokenize.NEWLINE, tokenize.COMMENT, tokenize.INDENT, tokenize.DEDENT}
+    for path in files:
+        with open(path, "rb") as fh:
+            previous = ""
+            for tok in tokenize.tokenize(fh.readline):
+                if tok.type == tokenize.NAME and previous != "def":
+                    names.add(tok.string)
+                    if previous == ".":
+                        attributes.add(tok.string)
+                if tok.type not in skip:
+                    previous = tok.string
+    return names, attributes
 
 
 def test_every_public_name_is_referenced_outside_tests():
-    lines = _reference_lines()
+    names, attributes = _code_references()
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     unused = []
     for qualified, name in _public_surface():
         if qualified in ALLOWED:
             continue
-        word = re.compile(rf"\b{re.escape(name)}\b")
-        definition = re.compile(rf"^\s*(async\s+)?def\s+{re.escape(name)}\b")
-        if not any(word.search(line) and not definition.match(line) for line in lines):
+        if "." in qualified:  # a method: only an attribute access refers to it
+            used = name in attributes or re.search(rf"\.{re.escape(name)}\b", readme)
+        else:
+            used = name in names or re.search(rf"\b{re.escape(name)}\b", readme)
+        if not used:
             unused.append(qualified)
     assert not unused, f"public names referenced only by tests (or nothing): {unused}"
 
