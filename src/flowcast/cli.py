@@ -226,13 +226,15 @@ def cmd_partition(config: PipelineConfig) -> None:
 
 
 def cmd_train(config: PipelineConfig, workers: int = 1) -> None:
+    mode = config.get("model", "mode")
+    training.mode_features(mode)  # a bad mode exits 2 here, not 4 from every worker
     out_dir = config.path("output_dir")
     bundles = partmod.read_bundles(out_dir / "bundles")
     _, (train_panel, valid_panel, _) = _load_split_panels(config)
     tc = config.training_config()
     results = training.train_all(
         bundles, train_panel, valid_panel, tc,
-        mode=config.get("model", "mode"),
+        mode=mode,
         lookback=config.get_int("model", "lookback"),
         horizon=config.get_int("model", "horizon"),
         workers=workers,
@@ -263,13 +265,13 @@ def _load_checkpoints(out_dir: Path, bundles) -> list[training.Checkpoint]:
 
 
 def cmd_evaluate(config: PipelineConfig) -> None:
+    in_f, out_f = training.mode_features(config.get("model", "mode"))
     out_dir = config.path("output_dir")
     bundles = partmod.read_bundles(out_dir / "bundles")
     checkpoints = _load_checkpoints(out_dir, bundles)
     _, (_, _, test_panel) = _load_split_panels(config)
     lookback = config.get_int("model", "lookback")
     horizon = config.get_int("model", "horizon")
-    in_f, out_f = training.mode_features(config.get("model", "mode"))
     rows = []
     horizon_rows = []
     for bundle, ckpt in zip(bundles, checkpoints):
@@ -297,12 +299,12 @@ def cmd_evaluate(config: PipelineConfig) -> None:
 
 
 def cmd_forecast(config: PipelineConfig) -> None:
+    in_f, _ = training.mode_features(config.get("model", "mode"))
     out_dir = config.path("output_dir")
     bundles = partmod.read_bundles(out_dir / "bundles")
     checkpoints = _load_checkpoints(out_dir, bundles)
     imputed, _ = _load_split_panels(config)
     lookback = config.get_int("model", "lookback")
-    in_f, _ = training.mode_features(config.get("model", "mode"))
     in_idx = [imputed.feature_index(f) for f in in_f]
     rows = []
     for bundle, ckpt in zip(bundles, checkpoints):
@@ -323,6 +325,8 @@ def cmd_forecast(config: PipelineConfig) -> None:
 
 
 def cmd_analyze(config: PipelineConfig) -> None:
+    mode = config.get("model", "mode")
+    training.mode_features(mode)
     out_dir = config.path("output_dir")
     mae_path = out_dir / "node_mae.csv"
     if not mae_path.exists():
@@ -330,7 +334,6 @@ def cmd_analyze(config: PipelineConfig) -> None:
     meta = {m.sensor_id: m for m in
             graphmod.read_metadata_csv(config.path("metadata", must_exist=True))}
     imputed, (_, _, test_panel) = _load_split_panels(config)
-    mode = config.get("model", "mode")
     primary_feature = "flow" if mode == "flow_only" else "speed"
     cov, zero_mean = analysis.coefficient_of_variation(imputed, primary_feature)
     cov_by_id = {sid: cov[i] for i, sid in enumerate(imputed.node_ids)}

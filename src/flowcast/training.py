@@ -113,14 +113,6 @@ class TrainReport:
     best_valid: float = math.inf
     wall_seconds: float = 0.0
 
-    @property
-    def train_curve(self) -> list[float]:
-        return [e.train_loss for e in self.epochs]
-
-    @property
-    def valid_curve(self) -> list[float]:
-        return [e.valid_loss for e in self.epochs]
-
 
 @dataclass
 class Checkpoint:

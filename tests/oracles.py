@@ -9,7 +9,8 @@ which ranks every node by one provider call per pair, the previous tape
 walk, which keeps every record and every intermediate gradient, and the
 previous graph file encoding, which converts each edge field on its own.
 The last section holds small readers that only tests need: one edge weight,
-an identity support and a box's interquartile range.
+an identity support, a box's interquartile range and a run report's
+per-epoch loss curves.
 """
 
 from __future__ import annotations
@@ -449,3 +450,13 @@ def csr_identity(n: int) -> CsrMatrix:
 def box_iqr(stats) -> float:
     """Interquartile range of a BoxStats."""
     return stats.q3 - stats.q1
+
+
+def train_curve(report) -> list[float]:
+    """Per-epoch training loss of a TrainReport."""
+    return [e.train_loss for e in report.epochs]
+
+
+def valid_curve(report) -> list[float]:
+    """Per-epoch validation loss of a TrainReport."""
+    return [e.valid_loss for e in report.epochs]

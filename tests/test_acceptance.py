@@ -29,7 +29,7 @@ from flowcast.training import (TrainingConfig, evaluate, forecast,
                                scheduled_sampling_epsilon, train_all)
 
 from oracles import (assert_grads_close, brute_force_min_bisection, dense_diffusion,
-                     finite_difference)
+                     finite_difference, train_curve)
 
 
 def _emit(line: str) -> None:
@@ -438,8 +438,8 @@ def test_criterion_9_determinism_and_independence(tmp_path):
 
         run_par = train_all(bundles, train_p, valid_p, config, workers=4, **kw)
         assert [_checkpoint_bytes(r, tmp_path, "p") for r in run_par] == bytes_a
-        assert [r.report.train_curve for r in run_par] == [r.report.train_curve
-                                                           for r in run_a]
+        assert [train_curve(r.report) for r in run_par] == [train_curve(r.report)
+                                                            for r in run_a]
 
         reseeded_cfg = TrainingConfig(**{**config.__dict__, "seed": 12345})
         run_c = train_all([bundles[0]], train_p, valid_p, reseeded_cfg, workers=1, **kw)

@@ -166,6 +166,18 @@ def test_config_errors_exit_2(pipeline, capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate", "forecast", "analyze"])
+def test_unknown_mode_exits_2_before_reading_files(capsys, tmp_path, command):
+    # nothing exists under tmp_path: any file read would fail with another error
+    _, config = _write_config(tmp_path)
+    code = main([command, "--config", config, "--set", "model.mode=foo"])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 2 and len(lines) == 1
+    out = json.loads(lines[0])
+    assert out["kind"] == "config" and "mode 'foo'" in out["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.ini"]
+
+
 def test_missing_checkpoints_exit_2(trained, capsys, tmp_path):
     root, config = trained
     import shutil

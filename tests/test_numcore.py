@@ -97,6 +97,68 @@ def test_matmul_partition_sized_support_forward_and_backward():
     assert np.abs(grad - want).max() <= 1e-12
 
 
+def _banded(rng, n, width=30, density=0.3):
+    """n x n with nonzeros only where |row - col| <= width, as corridor supports are."""
+    i, j = np.indices((n, n))
+    keep = (np.abs(i - j) <= width) & (rng.uniform(size=(n, n)) < density)
+    return np.where(keep, rng.uniform(size=(n, n)), 0.0)
+
+
+def _assert_products_match_dense(dense, rng):
+    # 2-d, batched and transposed products against plain dense products
+    m = CsrMatrix.from_dense(dense)
+    n = dense.shape[0]
+    for x in (rng.normal(size=(n, 32)), rng.normal(size=(n, 672))):
+        assert np.abs(m.matmul(x) - dense @ x).max() <= 1e-12
+        assert np.abs(m.matmul(x, transpose=True) - dense.T @ x).max() <= 1e-12
+    x = rng.normal(size=(3, n, 5))
+    assert np.abs(m.matmul(x) - np.einsum("ij,bjc->bic", dense, x)).max() <= 1e-12
+    assert np.abs(m.matmul(x, transpose=True)
+                  - np.einsum("ji,bjc->bic", dense, x)).max() <= 1e-12
+    return m
+
+
+def test_banded_support_multiplies_in_band_blocks():
+    rng = np.random.default_rng(31)
+    dense = _banded(rng, 300)
+    m = _assert_products_match_dense(dense, rng)
+    for blocks, a in zip(m._blocks, (dense, dense.T)):
+        assert blocks is not None
+        for lo, hi, col_lo, col_hi, view in blocks:
+            assert np.shares_memory(view, m._dense)
+            rest = np.delete(a[lo:hi], np.s_[col_lo:col_hi], axis=1)
+            assert not rest.any()  # only exact zeros are skipped
+        assert sum((hi - lo) * (c1 - c0) for lo, hi, c0, c1, _ in blocks) * 2 <= dense.size
+
+
+def test_band_with_halo_tail_and_empty_block():
+    # owned nodes banded, the last 12 columns (halos, as extract_subgraphs
+    # appends them) linked to scattered rows in three row blocks, and one row
+    # block with no nonzeros at all
+    rng = np.random.default_rng(37)
+    dense = _banded(rng, 300)
+    scattered = [5, 17, 40, 70, 200, 220, 231]
+    dense[scattered, 288:] = rng.uniform(size=(len(scattered), 12))
+    dense[96:128] = 0.0
+    m = _assert_products_match_dense(dense, rng)
+    assert m._blocks[0] is not None and m._blocks[1] is not None
+    assert (96, 128, 0, 0) in [b[:4] for b in m._blocks[0]]
+    assert not m.matmul(rng.normal(size=(300, 4)))[96:128].any()
+
+
+def test_unbanded_order_and_small_matrix_take_one_dense_product():
+    rng = np.random.default_rng(41)
+    order = rng.permutation(300)
+    dense = _banded(rng, 300)[np.ix_(order, order)]
+    small = _banded(rng, 32, width=4, density=0.8)
+    for a in (dense, small):
+        m = _assert_products_match_dense(a, rng)
+        assert m._blocks == (None, None)
+        x = rng.normal(size=(a.shape[0], 7))
+        assert np.array_equal(m.matmul(x), a @ x)
+        assert np.array_equal(m.matmul(x, transpose=True), a.T @ x)
+
+
 def test_csr_rejects_corrupt_index_arrays():
     with pytest.raises(ValueError):
         CsrMatrix(2, 2, [0, 1, 2], [-1, 1], [1.0, 1.0])  # negative column

@@ -26,8 +26,6 @@ ALLOWED = {
                            "that write_assignment_csv produces",
     "SubgraphBundle.owned_global": "the owned side of the halo flags, which the "
                                    "partition tests check covers every node once",
-    "TrainReport.train_curve": "per-epoch training loss of a run report",
-    "TrainReport.valid_curve": "per-epoch validation loss of a run report",
     "SyntheticScenario.congested_flow_for_speed": "ground truth of the synthetic "
                                                   "generator that acceptance 06 checks",
     "congested_core_ticks": "ground truth of the synthetic generator that "
