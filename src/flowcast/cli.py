@@ -21,6 +21,7 @@ import numpy as np
 
 from . import analysis, data, graph as graphmod, partition as partmod, training
 from .errors import ConfigError, DataError, FlowcastError, NumericalError
+from .model import FILTER_TYPES
 
 _DEFAULTS = {
     "paths": {"metadata": "", "timeseries": "", "output_dir": "out", "distance_table": ""},
@@ -138,17 +139,29 @@ def _provider_for(config: PipelineConfig, meta):
     raise ConfigError(f"unknown distance provider {kind!r}")
 
 
-def _load_split_panels(config: PipelineConfig):
-    """Shared ingestion path: read, impute (training-slice statistics), split."""
+def _model_settings(config: PipelineConfig):
+    """((input, output) features, lookback, horizon) from the [model] section,
+    checked with model.filter_type before a command reads any file, so a bad
+    value exits 2 naming its key."""
+    features = training.mode_features(config.get("model", "mode"))
+    filter_type = config.get("model", "filter_type")
+    if filter_type not in FILTER_TYPES:
+        raise ConfigError(f"model.filter_type must be one of {', '.join(FILTER_TYPES)}, "
+                          f"got {filter_type!r}")
+    return (features, config.get_int("model", "lookback", minimum=1),
+            config.get_int("model", "horizon", minimum=1))
+
+
+def _load_split_panels(config: PipelineConfig, min_length: int):
+    """Shared ingestion path: read, impute (training-slice statistics), split
+    into slices of at least min_length ticks (lookback + horizon)."""
     panel = data.read_timeseries_csv(config.path("timeseries", must_exist=True))
     train_frac = config.get_float("data", "train_fraction")
     valid_frac = config.get_float("data", "valid_fraction")
     fractions = (train_frac, valid_frac, 1.0 - train_frac - valid_frac)
     stats_through = int(panel.n_ticks * train_frac)
     imputed = data.impute(panel, config.get("data", "impute"), stats_through=stats_through)
-    lookback = config.get_int("model", "lookback")
-    horizon = config.get_int("model", "horizon")
-    parts = data.split(imputed, fractions, min_length=lookback + horizon)
+    parts = data.split(imputed, fractions, min_length=min_length)
     return imputed, parts
 
 
@@ -226,18 +239,14 @@ def cmd_partition(config: PipelineConfig) -> None:
 
 
 def cmd_train(config: PipelineConfig, workers: int = 1) -> None:
-    mode = config.get("model", "mode")
-    training.mode_features(mode)  # a bad mode exits 2 here, not 4 from every worker
+    _, lookback, horizon = _model_settings(config)
     out_dir = config.path("output_dir")
     bundles = partmod.read_bundles(out_dir / "bundles")
-    _, (train_panel, valid_panel, _) = _load_split_panels(config)
+    _, (train_panel, valid_panel, _) = _load_split_panels(config, lookback + horizon)
     tc = config.training_config()
     results = training.train_all(
-        bundles, train_panel, valid_panel, tc,
-        mode=mode,
-        lookback=config.get_int("model", "lookback"),
-        horizon=config.get_int("model", "horizon"),
-        workers=workers,
+        bundles, train_panel, valid_panel, tc, mode=config.get("model", "mode"),
+        lookback=lookback, horizon=horizon, workers=workers,
     )
     ckpt_dir = out_dir / "checkpoints"
     ckpt_dir.mkdir(parents=True, exist_ok=True)
@@ -265,13 +274,11 @@ def _load_checkpoints(out_dir: Path, bundles) -> list[training.Checkpoint]:
 
 
 def cmd_evaluate(config: PipelineConfig) -> None:
-    in_f, out_f = training.mode_features(config.get("model", "mode"))
+    (in_f, out_f), lookback, horizon = _model_settings(config)
     out_dir = config.path("output_dir")
     bundles = partmod.read_bundles(out_dir / "bundles")
     checkpoints = _load_checkpoints(out_dir, bundles)
-    _, (_, _, test_panel) = _load_split_panels(config)
-    lookback = config.get_int("model", "lookback")
-    horizon = config.get_int("model", "horizon")
+    _, (_, _, test_panel) = _load_split_panels(config, lookback + horizon)
     rows = []
     horizon_rows = []
     for bundle, ckpt in zip(bundles, checkpoints):
@@ -299,12 +306,11 @@ def cmd_evaluate(config: PipelineConfig) -> None:
 
 
 def cmd_forecast(config: PipelineConfig) -> None:
-    in_f, _ = training.mode_features(config.get("model", "mode"))
+    (in_f, _), lookback, horizon = _model_settings(config)
     out_dir = config.path("output_dir")
     bundles = partmod.read_bundles(out_dir / "bundles")
     checkpoints = _load_checkpoints(out_dir, bundles)
-    imputed, _ = _load_split_panels(config)
-    lookback = config.get_int("model", "lookback")
+    imputed, _ = _load_split_panels(config, lookback + horizon)
     in_idx = [imputed.feature_index(f) for f in in_f]
     rows = []
     for bundle, ckpt in zip(bundles, checkpoints):
@@ -325,15 +331,15 @@ def cmd_forecast(config: PipelineConfig) -> None:
 
 
 def cmd_analyze(config: PipelineConfig) -> None:
+    _, lookback, horizon = _model_settings(config)
     mode = config.get("model", "mode")
-    training.mode_features(mode)
     out_dir = config.path("output_dir")
     mae_path = out_dir / "node_mae.csv"
     if not mae_path.exists():
         raise ConfigError(f"missing {mae_path}; run evaluate first")
     meta = {m.sensor_id: m for m in
             graphmod.read_metadata_csv(config.path("metadata", must_exist=True))}
-    imputed, (_, _, test_panel) = _load_split_panels(config)
+    imputed, (_, _, test_panel) = _load_split_panels(config, lookback + horizon)
     primary_feature = "flow" if mode == "flow_only" else "speed"
     cov, zero_mean = analysis.coefficient_of_variation(imputed, primary_feature)
     cov_by_id = {sid: cov[i] for i, sid in enumerate(imputed.node_ids)}
@@ -364,8 +370,6 @@ def cmd_analyze(config: PipelineConfig) -> None:
     if mode == "multioutput":
         bundles = partmod.read_bundles(out_dir / "bundles")
         checkpoints = _load_checkpoints(out_dir, bundles)
-        lookback = config.get_int("model", "lookback")
-        horizon = config.get_int("model", "horizon")
         all_rows = []
         for bundle, ckpt in zip(bundles, checkpoints):
             local = data.slice_for_partition(test_panel, bundle)

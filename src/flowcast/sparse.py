@@ -23,10 +23,20 @@ A product takes one of three paths, chosen from the matrix alone:
 - Gather. Larger matrices use the gather/segment-sum kernel and never build
   a dense copy.
 
-On a 2-vCPU VM with one BLAS thread (medians of six runs), the banded
-300-node support took 0.16 ms per product as one dense product and 0.06 ms in
-band blocks at 32 columns; at 672 columns (a batch of 21 windows), 2.9 and
-0.83 ms.
+A batched [b, n, c] operand is multiplied in place on band blocks: each block
+is one BLAS call broadcast over the batch, written into a C-contiguous
+[b, rows, c] result. The other two paths fold it to one wide [n, b*c]
+operand through a transpose copy and return a strided view, which every
+later concatenation and elementwise op reads slowly. Keeping the fold there
+was measured: broadcasting the single dense product lost 1.6x on an unbanded
+300-node support at a batch of 21, and on 15-node training steps it took 3.8x
+the page faults, as glibc trimmed and re-grew the heap.
+
+On a 2-vCPU VM with one BLAS thread, the banded 300-node support took
+0.16 ms per product as one dense product and 0.06 ms in band blocks at 32
+columns (medians of six runs). For a batch of 21 windows, the product plus
+the concatenation that consumes it took 3.2 ms folded and 0.9 ms in place
+at 17 channels, and 5.5 and 1.5 ms at 32 channels.
 """
 
 from __future__ import annotations
@@ -117,14 +127,6 @@ class CsrMatrix:
         indptr = np.cumsum(indptr)
         return cls(rows, cols, indptr, col_idx, merged)
 
-    @classmethod
-    def from_dense(cls, a) -> "CsrMatrix":
-        a = np.asarray(a, dtype=np.float64)
-        if a.ndim != 2:
-            raise ValueError("expected a 2-d array")
-        r, c = np.nonzero(a)
-        return cls.from_triples(a.shape[0], a.shape[1], r, c, a[r, c])
-
     # ------------------------------------------------------------------
     # views and simple transforms
     # ------------------------------------------------------------------
@@ -190,8 +192,10 @@ class CsrMatrix:
         otherwise in one BLAS product. Blocks skip only cells that are exactly
         zero, so both agree with the dense product up to summation order.
         Larger matrices use the gather/segment-sum kernel and never allocate
-        a dense copy. A batched operand is folded to [n, b*c] first, since one
-        wide product beat b narrow ones.
+        a dense copy. On band blocks a batched operand is multiplied in place,
+        each block broadcast over the batch into a C-contiguous [b, rows, c]
+        result whose every window equals its own 2-d product bit for bit; the
+        one dense product and the gather kernel fold it to [n, b*c] first.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim not in (2, 3):
@@ -199,6 +203,12 @@ class CsrMatrix:
         rows, cols = (self.cols, self.rows) if transpose else (self.rows, self.cols)
         if x.shape[-2] != cols:
             raise ValueError(f"shape mismatch: {rows}x{cols} @ {x.shape}")
+        blocks = self._band(transpose)
+        if blocks is not None:
+            out = np.empty(x.shape[:-2] + (rows, x.shape[-1]))
+            for lo, hi, col_lo, col_hi, view in blocks:
+                np.matmul(view, x[..., col_lo:col_hi, :], out=out[..., lo:hi, :])
+            return out
         if x.ndim == 2:
             return self._matmul2(x, transpose)
         b, n, c = x.shape
@@ -208,18 +218,20 @@ class CsrMatrix:
     def _use_dense_kernel(self) -> bool:
         return self.rows * self.cols <= DENSE_MAX_CELLS
 
+    def _band(self, transpose: bool):
+        """The band blocks of S (or S^T), or None. On first use by a matrix on
+        the dense kernel, caches the dense copy and the block lists of both."""
+        if not self._use_dense_kernel():
+            return None
+        if self._dense is None:
+            self._dense = self.to_dense()
+            self._blocks = (_band_blocks(self._dense), _band_blocks(self._dense.T))
+        return self._blocks[transpose]
+
     def _matmul2(self, x: np.ndarray, transpose: bool) -> np.ndarray:
+        """One dense product (the copy is cached by _band) or the gather kernel."""
         if self._use_dense_kernel():
-            if self._dense is None:
-                self._dense = self.to_dense()
-                self._blocks = (_band_blocks(self._dense), _band_blocks(self._dense.T))
-            blocks = self._blocks[transpose]
-            if blocks is None:
-                return (self._dense.T if transpose else self._dense) @ x
-            out = np.empty((blocks[-1][1], x.shape[1]))
-            for lo, hi, col_lo, col_hi, view in blocks:
-                np.matmul(view, x[col_lo:col_hi], out=out[lo:hi])
-            return out
+            return (self._dense.T if transpose else self._dense) @ x
         return (self.transpose() if transpose else self)._gather_matmul(x)
 
     def _gather_matmul(self, x: np.ndarray) -> np.ndarray:

@@ -9,8 +9,8 @@ which ranks every node by one provider call per pair, the previous tape
 walk, which keeps every record and every intermediate gradient, and the
 previous graph file encoding, which converts each edge field on its own.
 The last section holds small readers that only tests need: one edge weight,
-an identity support, a box's interquartile range and a run report's
-per-epoch loss curves.
+a CSR matrix from a dense array, an identity support, a box's interquartile
+range and a run report's per-epoch loss curves.
 """
 
 from __future__ import annotations
@@ -439,6 +439,15 @@ def edge_weight(graph, i: int, j: int) -> float:
     if pos < cols.size and cols[pos] == j:
         return float(graph.adjacency.data[lo + pos])
     return 0.0
+
+
+def csr_from_dense(a) -> CsrMatrix:
+    """The CSR form of a dense 2-d array, the counterpart of to_dense."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError("expected a 2-d array")
+    r, c = np.nonzero(a)
+    return CsrMatrix.from_triples(a.shape[0], a.shape[1], r, c, a[r, c])
 
 
 def csr_identity(n: int) -> CsrMatrix:

@@ -24,12 +24,11 @@ from flowcast.model import (GateParams, Seq2SeqConfig, build_supports, diffusion
 from flowcast.autodiff import Tensor
 from flowcast.partition import (PartitionAssignment, add_overlap_nodes,
                                 extract_subgraphs, edge_cut, partition_graph)
-from flowcast.sparse import CsrMatrix
 from flowcast.training import (TrainingConfig, evaluate, forecast,
                                scheduled_sampling_epsilon, train_all)
 
-from oracles import (assert_grads_close, brute_force_min_bisection, dense_diffusion,
-                     finite_difference, train_curve)
+from oracles import (assert_grads_close, brute_force_min_bisection, csr_from_dense,
+                     dense_diffusion, finite_difference, train_curve)
 
 
 def _emit(line: str) -> None:
@@ -56,7 +55,7 @@ def criterion(number: int, title: str):
 def graph_of(dense) -> SensorGraph:
     dense = np.asarray(dense, dtype=np.float64)
     ids = [f"S{i:02d}" for i in range(dense.shape[0])]
-    return SensorGraph(ids, CsrMatrix.from_dense(dense))
+    return SensorGraph(ids, csr_from_dense(dense))
 
 
 def random_graph(rng, n, density=0.5) -> np.ndarray:

@@ -178,6 +178,25 @@ def test_unknown_mode_exits_2_before_reading_files(capsys, tmp_path, command):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.ini"]
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate", "forecast", "analyze"])
+@pytest.mark.parametrize("setting, message", [
+    ("model.filter_type=foo", "model.filter_type must be one of"),
+    ("model.lookback=0", "model.lookback must be at least 1"),
+    ("model.lookback=a", "model.lookback must be an integer"),
+    ("model.horizon=0", "model.horizon must be at least 1"),
+])
+def test_bad_model_setting_exits_2_before_reading_files(capsys, tmp_path, command, setting,
+                                                        message):
+    # nothing exists under tmp_path: any file read would fail with another error
+    _, config = _write_config(tmp_path)
+    code = main([command, "--config", config, "--set", setting])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 2 and len(lines) == 1
+    out = json.loads(lines[0])
+    assert out["kind"] == "config" and message in out["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.ini"]
+
+
 def test_missing_checkpoints_exit_2(trained, capsys, tmp_path):
     root, config = trained
     import shutil

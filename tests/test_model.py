@@ -11,16 +11,14 @@ from flowcast.graph import SensorGraph
 from flowcast.model import (CellParams, GateParams, Seq2SeqConfig,
                             build_supports, dcgru_cell, decode, diffusion_conv, encode,
                             init_params, loss_multi, predict, seq2seq_loss)
-from flowcast.sparse import CsrMatrix
-
-from oracles import (assert_backward_matches_oracle, assert_grads_close, dense_diffusion,
-                     finite_difference)
+from oracles import (assert_backward_matches_oracle, assert_grads_close, csr_from_dense,
+                     dense_diffusion, finite_difference)
 
 
 def graph_of(dense) -> SensorGraph:
     dense = np.asarray(dense, dtype=np.float64)
     ids = [f"S{i:02d}" for i in range(dense.shape[0])]
-    return SensorGraph(ids, CsrMatrix.from_dense(dense))
+    return SensorGraph(ids, csr_from_dense(dense))
 
 
 # ----------------------------------------------------------------------

@@ -9,8 +9,8 @@ from flowcast.autodiff import Tape, Tensor, grads_for
 from flowcast.optim import AdamState, adam_step, clip_by_global_norm, global_norm
 from flowcast.sparse import DENSE_MAX_CELLS, CsrMatrix
 
-from oracles import (assert_backward_matches_oracle, assert_grads_close, csr_identity,
-                     finite_difference)
+from oracles import (assert_backward_matches_oracle, assert_grads_close, csr_from_dense,
+                     csr_identity, finite_difference)
 
 
 # ----------------------------------------------------------------------
@@ -27,7 +27,7 @@ def test_from_triples_merges_duplicates_and_drops_zeros():
 def test_dense_round_trip():
     rng = np.random.default_rng(7)
     a = np.where(rng.uniform(size=(6, 4)) < 0.4, rng.normal(size=(6, 4)), 0.0)
-    assert np.array_equal(CsrMatrix.from_dense(a).to_dense(), a)
+    assert np.array_equal(csr_from_dense(a).to_dense(), a)
 
 
 def test_matmul_matches_dense_oracle():
@@ -36,7 +36,7 @@ def test_matmul_matches_dense_oracle():
         r, c, k = rng.integers(1, 9, size=3)
         dense = np.where(rng.uniform(size=(r, c)) < 0.5, rng.normal(size=(r, c)), 0.0)
         x = rng.normal(size=(c, k))
-        got = CsrMatrix.from_dense(dense).matmul(x)
+        got = csr_from_dense(dense).matmul(x)
         assert np.abs(got - dense @ x).max() <= 1e-12
 
 
@@ -46,12 +46,12 @@ def test_matmul_sparse_kernel_matches_dense_oracle():
     rng = np.random.default_rng(19)
     for _ in range(5):
         dense = np.where(rng.uniform(size=(120, 90)) < 0.05, rng.normal(size=(120, 90)), 0.0)
-        m = CsrMatrix.from_dense(dense)
+        m = csr_from_dense(dense)
         x = rng.normal(size=(90, 7))
         assert np.abs(m._gather_matmul(x) - dense @ x).max() <= 1e-12
         with_empty_rows = dense.copy()
         with_empty_rows[::3] = 0.0
-        m2 = CsrMatrix.from_dense(with_empty_rows)
+        m2 = csr_from_dense(with_empty_rows)
         assert np.abs(m2._gather_matmul(x) - with_empty_rows @ x).max() <= 1e-12
 
 
@@ -82,7 +82,7 @@ def test_matmul_partition_sized_support_forward_and_backward():
     # batched, with the backward product of tape.spmm against dense S^T g
     rng = np.random.default_rng(29)
     dense = np.where(rng.uniform(size=(300, 300)) < 0.1, rng.uniform(size=(300, 300)), 0.0)
-    s = CsrMatrix.from_dense(dense)
+    s = csr_from_dense(dense)
     assert s._use_dense_kernel()
     x = rng.normal(size=(4, 300, 17))
     assert np.abs(s.matmul(x) - np.einsum("ij,bjc->bic", dense, x)).max() <= 1e-12
@@ -106,7 +106,7 @@ def _banded(rng, n, width=30, density=0.3):
 
 def _assert_products_match_dense(dense, rng):
     # 2-d, batched and transposed products against plain dense products
-    m = CsrMatrix.from_dense(dense)
+    m = csr_from_dense(dense)
     n = dense.shape[0]
     for x in (rng.normal(size=(n, 32)), rng.normal(size=(n, 672))):
         assert np.abs(m.matmul(x) - dense @ x).max() <= 1e-12
@@ -131,19 +131,43 @@ def test_banded_support_multiplies_in_band_blocks():
         assert sum((hi - lo) * (c1 - c0) for lo, hi, c0, c1, _ in blocks) * 2 <= dense.size
 
 
-def test_band_with_halo_tail_and_empty_block():
-    # owned nodes banded, the last 12 columns (halos, as extract_subgraphs
-    # appends them) linked to scattered rows in three row blocks, and one row
-    # block with no nonzeros at all
-    rng = np.random.default_rng(37)
+def _halo_tailed(rng):
+    """Owned nodes banded, the last 12 columns (halos, as extract_subgraphs
+    appends them) linked to scattered rows in three row blocks, and one row
+    block with no nonzeros at all."""
     dense = _banded(rng, 300)
     scattered = [5, 17, 40, 70, 200, 220, 231]
     dense[scattered, 288:] = rng.uniform(size=(len(scattered), 12))
     dense[96:128] = 0.0
+    return dense
+
+
+def test_band_with_halo_tail_and_empty_block():
+    rng = np.random.default_rng(37)
+    dense = _halo_tailed(rng)
     m = _assert_products_match_dense(dense, rng)
     assert m._blocks[0] is not None and m._blocks[1] is not None
     assert (96, 128, 0, 0) in [b[:4] for b in m._blocks[0]]
     assert not m.matmul(rng.normal(size=(300, 4)))[96:128].any()
+
+
+def test_batched_band_product_is_in_place_and_per_window():
+    # a batched operand multiplies block by block, broadcast over the batch,
+    # into a C-contiguous [b, rows, c] result whose every window is the 2-d
+    # band product of that window, bit for bit
+    rng = np.random.default_rng(43)
+    for dense in (_banded(rng, 300), _halo_tailed(rng)):
+        m = csr_from_dense(dense)
+        for transpose, a in ((False, dense), (True, dense.T)):
+            assert m._band(transpose) is not None
+            for b in (1, 2, 21):
+                for c in (1, 17):
+                    x = rng.normal(size=(b, 300, c))
+                    got = m.matmul(x, transpose=transpose)
+                    assert got.shape == (b, 300, c) and got.flags.c_contiguous
+                    for i in range(b):
+                        assert np.array_equal(got[i], m.matmul(x[i], transpose=transpose))
+                    assert np.abs(got - np.einsum("ij,bjc->bic", a, x)).max() <= 1e-12
 
 
 def test_unbanded_order_and_small_matrix_take_one_dense_product():
@@ -154,9 +178,17 @@ def test_unbanded_order_and_small_matrix_take_one_dense_product():
     for a in (dense, small):
         m = _assert_products_match_dense(a, rng)
         assert m._blocks == (None, None)
-        x = rng.normal(size=(a.shape[0], 7))
+        n = a.shape[0]
+        x = rng.normal(size=(n, 7))
         assert np.array_equal(m.matmul(x), a @ x)
         assert np.array_equal(m.matmul(x, transpose=True), a.T @ x)
+        # a batched operand is still folded into one wide product
+        for b, c in ((1, 1), (2, 17), (21, 17)):
+            x = rng.normal(size=(b, n, c))
+            flat = x.transpose(1, 0, 2).reshape(n, -1)
+            for transpose, op in ((False, a), (True, a.T)):
+                want = (op @ flat).reshape(n, b, c).transpose(1, 0, 2)
+                assert np.array_equal(m.matmul(x, transpose=transpose), want)
 
 
 def test_csr_rejects_corrupt_index_arrays():
@@ -176,7 +208,7 @@ def test_csr_rejects_corrupt_index_arrays():
 def test_matmul_batched_matches_loop():
     rng = np.random.default_rng(3)
     dense = np.where(rng.uniform(size=(5, 5)) < 0.5, rng.normal(size=(5, 5)), 0.0)
-    m = CsrMatrix.from_dense(dense)
+    m = csr_from_dense(dense)
     x = rng.normal(size=(4, 5, 3))
     got = m.matmul(x)
     for b in range(4):
@@ -184,7 +216,7 @@ def test_matmul_batched_matches_loop():
 
 
 def test_row_normalized_and_transpose():
-    m = CsrMatrix.from_dense([[0.0, 2.0, 2.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    m = csr_from_dense([[0.0, 2.0, 2.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     rn = m.row_normalized().to_dense()
     assert rn[0].tolist() == [0.0, 0.5, 0.5]
     assert rn[1].tolist() == [0.0, 0.0, 0.0]  # empty row stays empty
@@ -194,7 +226,7 @@ def test_row_normalized_and_transpose():
 def test_restrict_reorders_by_position():
     dense = np.arange(16, dtype=float).reshape(4, 4)
     dense[dense % 3 == 0] = 0.0
-    m = CsrMatrix.from_dense(dense)
+    m = csr_from_dense(dense)
     keep = [2, 0]
     assert np.array_equal(m.restrict(keep).to_dense(), dense[np.ix_(keep, keep)])
 
@@ -208,7 +240,7 @@ def test_spmm_identity_and_hand_example():
     tape = Tape()
     x = Tensor([[1.0], [2.0]])
     assert np.array_equal(tape.spmm(csr_identity(2), x).value, x.value)
-    s = CsrMatrix.from_dense([[0.0, 1.0], [0.0, 0.0]])
+    s = csr_from_dense([[0.0, 1.0], [0.0, 0.0]])
     assert tape.spmm(s, x).value.tolist() == [[2.0], [0.0]]
     zero = CsrMatrix.from_triples(2, 2, [], [], [])
     assert tape.spmm(zero, x).value.tolist() == [[0.0], [0.0]]
@@ -300,8 +332,8 @@ def _composite_loss(params, s):
 
 def test_composite_gradients_match_finite_differences():
     rng = np.random.default_rng(0)
-    s = CsrMatrix.from_dense(np.where(rng.uniform(size=(3, 3)) < 0.7,
-                                      rng.uniform(size=(3, 3)), 0.0))
+    s = csr_from_dense(np.where(rng.uniform(size=(3, 3)) < 0.7,
+                                rng.uniform(size=(3, 3)), 0.0))
     w1 = rng.normal(size=(4, 5)) * 0.5
     w2 = rng.normal(size=(5, 1)) * 0.5
     b = rng.normal(size=5) * 0.1
@@ -338,8 +370,8 @@ def test_spmm_gradients_match_finite_differences_on_large_support():
     # 70 x 70 = 4900 cells at density ~0.1: over 4096 cells and under
     # density 0.15, where a density rule would pick the gather kernel
     rng = np.random.default_rng(31)
-    s = CsrMatrix.from_dense(np.where(rng.uniform(size=(70, 70)) < 0.1,
-                                      rng.uniform(size=(70, 70)), 0.0))
+    s = csr_from_dense(np.where(rng.uniform(size=(70, 70)) < 0.1,
+                                rng.uniform(size=(70, 70)), 0.0))
     leaves = [Tensor(rng.normal(size=(2, 70, 2))), Tensor(rng.normal(size=(6, 3)) * 0.5)]
 
     def run_tape():
@@ -363,8 +395,8 @@ def test_spmm_gradients_match_finite_differences_on_large_support():
 def test_tape_is_deterministic():
     def once():
         rng = np.random.default_rng(42)
-        s = CsrMatrix.from_dense(np.where(rng.uniform(size=(3, 3)) < 0.7,
-                                          rng.uniform(size=(3, 3)), 0.0))
+        s = csr_from_dense(np.where(rng.uniform(size=(3, 3)) < 0.7,
+                                    rng.uniform(size=(3, 3)), 0.0))
         params = [rng.normal(size=(4, 5)), rng.normal(size=(5, 1)), rng.normal(size=5)]
         _, loss = _composite_loss(params, s)
         return float(loss.value)
@@ -374,8 +406,8 @@ def test_tape_is_deterministic():
 
 def test_backward_matches_previous_walk_bit_for_bit():
     rng = np.random.default_rng(5)
-    s = CsrMatrix.from_dense(np.where(rng.uniform(size=(3, 3)) < 0.7,
-                                      rng.uniform(size=(3, 3)), 0.0))
+    s = csr_from_dense(np.where(rng.uniform(size=(3, 3)) < 0.7,
+                                rng.uniform(size=(3, 3)), 0.0))
     params = [rng.normal(size=(4, 5)), rng.normal(size=(5, 1)), rng.normal(size=5)]
     tape, loss = _composite_loss(params, s)
     assert_backward_matches_oracle(tape, loss)

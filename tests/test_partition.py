@@ -12,16 +12,15 @@ from flowcast.partition import (_MAX_FM_PASSES, CoarseLevel, PartitionAssignment
                                 heavy_edge_matching, initial_partition, partition_graph,
                                 read_assignment_csv, read_bundles, refine_uncoarsen,
                                 symmetrize, write_assignment_csv, write_bundles)
-from flowcast.sparse import CsrMatrix
 
 import oracles
-from oracles import brute_force_min_bisection, cut_of_assignment
+from oracles import brute_force_min_bisection, csr_from_dense, cut_of_assignment
 
 
 def graph_of(dense) -> SensorGraph:
     dense = np.asarray(dense, dtype=np.float64)
     ids = [f"S{i:02d}" for i in range(dense.shape[0])]
-    return SensorGraph(ids, CsrMatrix.from_dense(dense))
+    return SensorGraph(ids, csr_from_dense(dense))
 
 
 def planted_two_cluster(n: int, rng) -> tuple[SensorGraph, int]:

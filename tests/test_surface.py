@@ -20,8 +20,6 @@ PACKAGE = ROOT / "src" / "flowcast"
 
 # Kept on purpose although nothing outside the tests references them.
 ALLOWED = {
-    "CsrMatrix.from_dense": "the dense-to-CSR counterpart of to_dense; "
-                            "tests build every small graph with it",
     "read_assignment_csv": "reader of the documented assignment.csv artifact "
                            "that write_assignment_csv produces",
     "SubgraphBundle.owned_global": "the owned side of the halo flags, which the "

@@ -12,18 +12,17 @@ from flowcast.graph import SensorGraph
 from flowcast.model import Seq2SeqConfig, init_params
 from flowcast.optim import global_norm
 from flowcast.partition import PartitionAssignment, SubgraphBundle, extract_subgraphs
-from flowcast.sparse import CsrMatrix
 from flowcast.training import (Checkpoint, TrainingConfig, evaluate, forecast,
                                mode_features, prepare_partition_windows,
                                scheduled_sampling_epsilon, train_all, train_partition)
 
-from oracles import train_curve, valid_curve
+from oracles import csr_from_dense, train_curve, valid_curve
 
 
 def graph_of(dense) -> SensorGraph:
     dense = np.asarray(dense, dtype=np.float64)
     ids = [f"S{i:02d}" for i in range(dense.shape[0])]
-    return SensorGraph(ids, CsrMatrix.from_dense(dense))
+    return SensorGraph(ids, csr_from_dense(dense))
 
 
 def ring(n: int) -> np.ndarray:
