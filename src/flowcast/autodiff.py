@@ -1,12 +1,15 @@
-"""Reverse-mode differentiation on a per-primitive tape.
+"""Reverse-mode differentiation on a tape of op records.
 
 Tensors are thin wrappers around float64 numpy arrays with a stable uid.
 A Tape owns the op records: executing an op through the tape computes the
 value eagerly and stores a closure that maps the output gradient to input
-gradients. `backward` walks the records once, in reverse execution order
-(which is a reverse topological order), accumulating gradients additively and
-releasing each record and output gradient as it goes, so a tape serves one
-backward. Inference uses `Tape(record=False)`, which keeps no records at all.
+gradients. An op is a primitive (matmul, hadamard, add_bias, concat,
+mean_abs) or, through `Tape.op`, a whole function the caller computes and
+differentiates itself, as the DCGRU cell does once per step. `backward`
+walks the records once, in reverse execution order (which is a reverse
+topological order), accumulating gradients additively and releasing each
+record and output gradient as it goes, so a tape serves one backward.
+Inference uses `Tape(record=False)`, which keeps no records at all.
 
 Leaf tensors (parameters, constants) are not bound to any tape, so the same
 parameter objects can be reused across many training-step tapes.
@@ -18,8 +21,6 @@ import itertools
 from typing import Iterable, Sequence
 
 import numpy as np
-
-from .sparse import CsrMatrix
 
 _uid_counter = itertools.count()
 
@@ -39,14 +40,8 @@ class Tensor:
         return f"Tensor(uid={self.uid}, shape={self.value.shape})"
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp may overflow for very negative inputs; 1/(1+inf) == 0 is the right limit
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
-
-
 class Tape:
-    """Records primitive ops (record=False: none); provides backward(). One tape per step."""
+    """Records ops (record=False: none); provides backward(). One tape per step."""
 
     def __init__(self, record: bool = True):
         self._record = record
@@ -67,6 +62,11 @@ class Tape:
     def constant(self, value) -> Tensor:
         return Tensor(value)
 
+    def op(self, value, inputs: Sequence[Tensor], backward) -> Tensor:
+        """An op the caller computed: backward maps its output gradient to one
+        gradient per input, in order (the DCGRU cell is one such op)."""
+        return self._emit(value, inputs, backward)
+
     def matmul(self, a: Tensor, b: Tensor) -> Tensor:
         """Dense product over the last two axes; b must be 2-d (a weight block)."""
         av, bv = a.value, b.value
@@ -84,44 +84,11 @@ class Tape:
 
         return self._emit(out, (a, b), backward)
 
-    def spmm(self, s: CsrMatrix, x: Tensor) -> Tensor:
-        """Sparse @ dense over the node axis ([n, c] or [b, n, c])."""
-        out = s.matmul(x.value)
-
-        def backward(g):
-            return (s.matmul(g, transpose=True),)
-
-        return self._emit(out, (x,), backward)
-
-    def sigmoid(self, x: Tensor) -> Tensor:
-        out = _sigmoid(x.value)
-
-        def backward(g):
-            return (g * out * (1.0 - out),)
-
-        return self._emit(out, (x,), backward)
-
-    def tanh(self, x: Tensor) -> Tensor:
-        out = np.tanh(x.value)
-
-        def backward(g):
-            return (g * (1.0 - out * out),)
-
-        return self._emit(out, (x,), backward)
-
-    def add(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.value.shape != b.value.shape:
-            raise ValueError(f"add shape mismatch: {a.value.shape} vs {b.value.shape}")
-        return self._emit(a.value + b.value, (a, b), lambda g: (g, g))
-
     def hadamard(self, a: Tensor, b: Tensor) -> Tensor:
         av, bv = a.value, b.value
         if av.shape != bv.shape:
             raise ValueError(f"hadamard shape mismatch: {av.shape} vs {bv.shape}")
         return self._emit(av * bv, (a, b), lambda g: (g * bv, g * av))
-
-    def sub_from_one(self, x: Tensor) -> Tensor:
-        return self._emit(1.0 - x.value, (x,), lambda g: (-g,))
 
     def add_bias(self, x: Tensor, b: Tensor) -> Tensor:
         """Broadcast a [c] bias over the trailing axis of x."""

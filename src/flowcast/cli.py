@@ -13,6 +13,7 @@ import argparse
 import configparser
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,14 +58,17 @@ class PipelineConfig:
 
     def get_float(self, section: str, key: str, minimum: float | None = None,
                   strict: bool = False) -> float:
-        """A float; with minimum, NaN and values below it (or equal, if strict) raise."""
+        """A float; with minimum, values that are not finite or lie below it
+        (or equal, if strict) raise."""
         try:
             value = float(self.get(section, key))
         except ValueError:
             raise ConfigError(f"{section}.{key} must be a number") from None
-        if minimum is not None and not (value > minimum if strict else value >= minimum):
+        if minimum is not None and not (math.isfinite(value)
+                                        and (value > minimum if strict else value >= minimum)):
             bound = "greater than" if strict else "at least"
-            raise ConfigError(f"{section}.{key} must be {bound} {minimum}, got {value}")
+            raise ConfigError(f"{section}.{key} must be a finite number {bound} {minimum}, "
+                              f"got {value}")
         return value
 
     def path(self, key: str, must_exist: bool = False) -> Path:
@@ -197,16 +201,18 @@ def cmd_synth(config: PipelineConfig) -> None:
 
 
 def cmd_build_graph(config: PipelineConfig) -> None:
+    k_nn = config.get_int("graph", "k_nn", minimum=1)
+    thresh = config.get_float("graph", "threshold", minimum=0.0)
+    threshold_on = config.get("graph", "threshold_on")
+    if threshold_on not in ("distance_sq", "weight"):
+        raise ConfigError(f"graph.threshold_on must be distance_sq or weight, got {threshold_on!r}")
+    sigma_mode = config.get("graph", "sigma_mode")
+    if sigma_mode != "auto":
+        sigma_mode = config.get_float("graph", "sigma_mode", minimum=0.0, strict=True)
     meta = graphmod.read_metadata_csv(config.path("metadata", must_exist=True))
-    pairs = graphmod.knn_candidates(meta, config.get_int("graph", "k_nn", minimum=1))
-    sigma_text = config.get("graph", "sigma_mode")
-    sigma_mode = "auto" if sigma_text == "auto" else float(sigma_text)
-    g = graphmod.build_adjacency(
-        meta, pairs, _provider_for(config, meta),
-        thresh=config.get_float("graph", "threshold"),
-        sigma_mode=sigma_mode,
-        threshold_on=config.get("graph", "threshold_on"),
-    )
+    g = graphmod.build_adjacency(meta, graphmod.knn_candidates(meta, k_nn),
+                                 _provider_for(config, meta), thresh=thresh,
+                                 sigma_mode=sigma_mode, threshold_on=threshold_on)
     out_dir = config.path("output_dir")
     out_dir.mkdir(parents=True, exist_ok=True)
     g.save(out_dir / "graph.json")

@@ -12,8 +12,6 @@ import csv
 import itertools
 import json
 import math
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -287,6 +285,7 @@ class RoutingServiceClient(DistanceProvider):
     def dist(self, i: int, j: int) -> float:
         if i == j:
             return 0.0
+        import urllib.request  # here, not at the top: it loads ssl, http and email
         (lat1, lon1), (lat2, lon2) = self._coords[i], self._coords[j]
         url = (f"{self.base_url}/route?from_lat={lat1}&from_lon={lon1}"
                f"&to_lat={lat2}&to_lon={lon2}")

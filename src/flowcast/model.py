@@ -5,15 +5,19 @@ that sums powers of random-walk transition matrices,
 
     out = sum_d [ S_fwd^d Z W_{d,fwd} + S_rev^d Z W_{d,rev} ] + b,
 
-where the d=0 transition is the identity for both directions and S^d Z is
-applied as repeated sparse products, never materialized. All tensors are
-batched as [batch, nodes, channels].
+where the d=0 transition is the identity for both directions. Since
+S^d Z W_d = S^d (Z W_d), each filter multiplies Z by all its weight blocks in
+one product and applies the powers to the gate outputs by Horner's
+rule, so no stack [Z, S Z, S^2 Z, ...] is built. One cell step is one tape
+record whose backward is derived by hand. All tensors are batched as
+[batch, nodes, channels].
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -174,53 +178,103 @@ def init_params(config: Seq2SeqConfig, seed: int) -> DcgruParams:
 # ----------------------------------------------------------------------
 
 
-def _diffused_stack(tape: Tape, supports: DiffusionSupports, z: Tensor) -> Tensor:
-    """[z, S z, S^2 z, ...] per support, concatenated on the channel axis.
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # exp may overflow for very negative inputs; 1/(1+inf) == 0 is the right limit
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
-    Shared across the gates that read the same input, so each S^d z is
-    computed once per cell step (powers still applied by repeated spmm).
+
+def _blocks(gates: Sequence[GateParams]) -> list[Tensor]:
+    """The gates' weight blocks in (support, step, gate) order, the column
+    order of the joined weights that diffusion_conv takes."""
+    per_support = gates[0].blocks
+    return [g.blocks[s][d] for s in range(len(per_support))
+            for d in range(len(per_support[s])) for g in gates]
+
+
+def _columns(a: np.ndarray, width: int) -> list[np.ndarray]:
+    """Views of a's trailing axis cut into consecutive blocks of width."""
+    return [a[..., i:i + width] for i in range(0, a.shape[-1], width)]
+
+
+def diffusion_conv(supports: DiffusionSupports, z: np.ndarray,
+                   gates: np.ndarray) -> np.ndarray:
+    """Graph filter sum_{s,d} S_s^d z W_{s,d} without bias: z [batch, nodes, c]
+    -> [batch, nodes, units].
+
+    gates [c, n_supports * max_steps * units] holds the blocks W_{s,d} side by
+    side in (support, step) order; a block may itself join several gates. All
+    blocks are applied in one product, and each support's powers by Horner's
+    rule on the gate outputs, Y_0 + S (Y_1 + S (...)), never on z.
     """
-    parts = []
-    for s in supports.matrices:
-        cur = z
-        parts.append(cur)  # the d=0 transition is the identity
-        for _ in range(1, supports.max_steps):
-            cur = tape.spmm(s, cur)
-            parts.append(cur)
-    return parts[0] if len(parts) == 1 else tape.concat(parts)
+    steps = supports.max_steps
+    ys = _columns(z @ gates, gates.shape[1] // (supports.n_supports * steps))
+    out = None
+    for s, mat in enumerate(supports.matrices):
+        acc = ys[(s + 1) * steps - 1]
+        for y in reversed(ys[s * steps:(s + 1) * steps - 1]):
+            acc = y + mat.matmul(acc)
+        out = acc if out is None else out + acc
+    return out
 
 
-def _gate_from_stack(tape: Tape, stack: Tensor, gate: GateParams) -> Tensor:
-    """The filter on a diffused stack: the per-step blocks are stacked
-    row-wise so the whole sum is a single product."""
-    blocks = [block for per_support in gate.blocks for block in per_support]
-    w = blocks[0] if len(blocks) == 1 else tape.concat(blocks, axis=0)
-    return tape.add_bias(tape.matmul(stack, w), gate.bias)
-
-
-def diffusion_conv(tape: Tape, supports: DiffusionSupports, z: Tensor,
-                   gate: GateParams) -> Tensor:
-    """Graph filter over z [batch, nodes, in_dim + units] -> [batch, nodes, units]."""
-    return _gate_from_stack(tape, _diffused_stack(tape, supports, z), gate)
+def _diffusion_conv_backward(supports: DiffusionSupports, z: np.ndarray, gates: np.ndarray,
+                             g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(dz, dgates) of diffusion_conv for the output gradient g: with
+    G_{s,d} = (S_s^T)^d g side by side, dz = G gates^T and dgates = z^T G."""
+    steps = supports.max_steps
+    back = np.empty(g.shape[:-1] + (gates.shape[1],))
+    blocks = _columns(back, g.shape[-1])
+    for s, mat in enumerate(supports.matrices):
+        for d, block in enumerate(blocks[s * steps:(s + 1) * steps]):
+            cur = mat.matmul(cur, transpose=True) if d else g
+            block[...] = cur
+    # one product per window, summed: as one [c, b*n] @ [b*n, k] product it is
+    # big enough for OpenBLAS to thread, and the threads of two training
+    # workers then fight over the cores (epochs 3.5x slower on 2 vCPUs)
+    dgates = np.matmul(z.swapaxes(-1, -2), back).sum(axis=0)
+    return back @ gates.T, dgates
 
 
 def dcgru_cell(tape: Tape, x_t: Tensor, h_prev: Tensor, supports: DiffusionSupports,
                cell: CellParams) -> Tensor:
-    """One recurrent step: reset/update gates, candidate state, convex blend."""
-    xh = tape.concat([x_t, h_prev])
-    xh_stack = _diffused_stack(tape, supports, xh)
-    r = tape.sigmoid(_gate_from_stack(tape, xh_stack, cell.reset))
-    u = tape.sigmoid(_gate_from_stack(tape, xh_stack, cell.update))
-    # An inference tape holds no other reference, so this frees the stack early.
-    # Freeing xh here too moved training's frees so that glibc trimmed and
-    # re-faulted the heap on every step (7x the minor page faults).
-    del xh_stack
-    xrh = tape.concat([x_t, tape.hadamard(r, h_prev)])
-    c = tape.tanh(diffusion_conv(tape, supports, xrh, cell.candidate))
-    h = tape.add(tape.hadamard(u, h_prev), tape.hadamard(tape.sub_from_one(u), c))
-    if not np.isfinite(h.value).all():
+    """One recurrent step, recorded as one tape op with a hand-derived backward.
+
+    Reset and update gates share one filter over [x, h] with their blocks
+    joined as [W_r | W_u]; the candidate filters [x, r*h]; the state is the
+    convex blend u*h + (1-u)*c. Backward keeps only ru and c beside the
+    inputs, and rebuilds [x, h] and [x, r*h] from them.
+    """
+    x, h = x_t.value, h_prev.value
+    in_dim, units = x.shape[-1], h.shape[-1]
+    ru_blocks, c_blocks = _blocks((cell.reset, cell.update)), _blocks((cell.candidate,))
+    w_ru = np.concatenate([b.value for b in ru_blocks], axis=1)
+    w_c = np.concatenate([b.value for b in c_blocks], axis=1)
+    ru = _sigmoid(diffusion_conv(supports, np.concatenate([x, h], axis=-1), w_ru)
+                  + np.concatenate([cell.reset.bias.value, cell.update.bias.value]))
+    r, u = ru[..., :units], ru[..., units:]
+    c = np.tanh(diffusion_conv(supports, np.concatenate([x, r * h], axis=-1), w_c)
+                + cell.candidate.bias.value)
+    out = u * h + (1.0 - u) * c
+    if not np.isfinite(out).all():
         raise NumericalError("numerical divergence")
-    return h
+
+    def backward(g):
+        dc = g * (1.0 - u) * (1.0 - c * c)
+        d_xrh, dw_c = _diffusion_conv_backward(supports, np.concatenate([x, r * h], axis=-1),
+                                               w_c, dc)
+        d_rh = d_xrh[..., in_dim:]
+        d_ru = np.concatenate([d_rh * h, g * (h - c)], axis=-1) * ru * (1.0 - ru)
+        d_xh, dw_ru = _diffusion_conv_backward(supports, np.concatenate([x, h], axis=-1),
+                                               w_ru, d_ru)
+        return (d_xh[..., :in_dim] + d_xrh[..., :in_dim],
+                d_xh[..., in_dim:] + d_rh * r + g * u,
+                *_columns(dw_ru, units), *_columns(dw_c, units),
+                *_columns(d_ru.reshape(-1, 2 * units).sum(axis=0), units),
+                dc.reshape(-1, units).sum(axis=0))
+
+    return tape.op(out, (x_t, h_prev, *ru_blocks, *c_blocks, cell.reset.bias,
+                         cell.update.bias, cell.candidate.bias), backward)
 
 
 def _zero_states(tape: Tape, batch: int, nodes: int, layers: int, units: int) -> list[Tensor]:

@@ -26,17 +26,19 @@ A product takes one of three paths, chosen from the matrix alone:
 A batched [b, n, c] operand is multiplied in place on band blocks: each block
 is one BLAS call broadcast over the batch, written into a C-contiguous
 [b, rows, c] result. The other two paths fold it to one wide [n, b*c]
-operand through a transpose copy and return a strided view, which every
-later concatenation and elementwise op reads slowly. Keeping the fold there
-was measured: broadcasting the single dense product lost 1.6x on an unbanded
-300-node support at a batch of 21, and on 15-node training steps it took 3.8x
-the page faults, as glibc trimmed and re-grew the heap.
+operand through a transpose copy and return a strided view, which the op
+that consumes it reads slowly. Keeping the fold there was measured with the
+add of the DCGRU cell's Horner step as that consumer: broadcasting the single
+dense product lost 1.35x on an unbanded 300-node support at a batch of 21 and
+16 channels, and was even at 32 channels. With the earlier per-primitive
+cell, broadcasting took 3.8x the page faults on 15-node training steps, as
+glibc trimmed and re-grew the heap.
 
 On a 2-vCPU VM with one BLAS thread, the banded 300-node support took
 0.16 ms per product as one dense product and 0.06 ms in band blocks at 32
 columns (medians of six runs). For a batch of 21 windows, the product plus
-the concatenation that consumes it took 3.2 ms folded and 0.9 ms in place
-at 17 channels, and 5.5 and 1.5 ms at 32 channels.
+the Horner add that consumes it took 5.0 ms folded and 0.9 ms in place at
+32 channels, and 2.1 and 0.6 ms at 16 channels.
 """
 
 from __future__ import annotations

@@ -6,8 +6,10 @@ and diffusion filters, and exhaustive enumeration for partition cuts. The
 previous scalar FM refinement and kNN search are kept here too, as oracles
 for their vectorized replacements, and so is the previous halo selection,
 which ranks every node by one provider call per pair, the previous tape
-walk, which keeps every record and every intermediate gradient, and the
-previous graph file encoding, which converts each edge field on its own.
+walk, which keeps every record and every intermediate gradient, the
+previous DCGRU cell, composed of per-primitive tape records over a stack of
+diffused inputs, and the previous graph file encoding, which converts each
+edge field on its own.
 The last section holds small readers that only tests need: one edge weight,
 a CSR matrix from a dense array, an identity support, a box's interquartile
 range and a run report's per-epoch loss curves.
@@ -20,7 +22,8 @@ import math
 
 import numpy as np
 
-from flowcast.errors import DataError
+from flowcast.autodiff import Tape, Tensor
+from flowcast.errors import DataError, NumericalError
 from flowcast.graph import EARTH_RADIUS_MILES, SensorMeta, canonical_order
 from flowcast.partition import _MAX_FM_PASSES, CoarseLevel, PartitionAssignment
 from flowcast.sparse import CsrMatrix
@@ -404,6 +407,73 @@ def assert_backward_matches_oracle(tape, loss) -> dict[int, np.ndarray]:
         assert np.array_equal(g, expected[uid]), f"gradient of tensor {uid} differs"
     assert not tape._records
     return got
+
+
+# ----------------------------------------------------------------------
+# the previous DCGRU cell: one tape record per primitive
+# ----------------------------------------------------------------------
+# Kept as the oracle for model.dcgru_cell, which records one op per step and
+# applies each gate's weights before diffusing. ComposedTape adds back the
+# primitives that only this cell used.
+
+
+class ComposedTape(Tape):
+    def spmm(self, s: CsrMatrix, x: Tensor) -> Tensor:
+        """Sparse @ dense over the node axis ([n, c] or [b, n, c])."""
+        return self._emit(s.matmul(x.value), (x,),
+                          lambda g: (s.matmul(g, transpose=True),))
+
+    def sigmoid(self, x: Tensor) -> Tensor:
+        # exp may overflow for very negative inputs; 1/(1+inf) == 0 is the right limit
+        with np.errstate(over="ignore"):
+            out = 1.0 / (1.0 + np.exp(-x.value))
+        return self._emit(out, (x,), lambda g: (g * out * (1.0 - out),))
+
+    def tanh(self, x: Tensor) -> Tensor:
+        out = np.tanh(x.value)
+        return self._emit(out, (x,), lambda g: (g * (1.0 - out * out),))
+
+    def add(self, a: Tensor, b: Tensor) -> Tensor:
+        if a.value.shape != b.value.shape:
+            raise ValueError(f"add shape mismatch: {a.value.shape} vs {b.value.shape}")
+        return self._emit(a.value + b.value, (a, b), lambda g: (g, g))
+
+    def sub_from_one(self, x: Tensor) -> Tensor:
+        return self._emit(1.0 - x.value, (x,), lambda g: (-g,))
+
+
+def diffused_stack(tape: ComposedTape, supports, z: Tensor) -> Tensor:
+    """[z, S z, S^2 z, ...] per support, concatenated on the channel axis."""
+    parts = []
+    for s in supports.matrices:
+        cur = z
+        parts.append(cur)  # the d=0 transition is the identity
+        for _ in range(1, supports.max_steps):
+            cur = tape.spmm(s, cur)
+            parts.append(cur)
+    return parts[0] if len(parts) == 1 else tape.concat(parts)
+
+
+def gate_from_stack(tape: ComposedTape, stack: Tensor, gate) -> Tensor:
+    """The filter on a diffused stack, with the per-step blocks stacked row-wise."""
+    blocks = [block for per_support in gate.blocks for block in per_support]
+    w = blocks[0] if len(blocks) == 1 else tape.concat(blocks, axis=0)
+    return tape.add_bias(tape.matmul(stack, w), gate.bias)
+
+
+def composed_cell(tape: ComposedTape, x_t: Tensor, h_prev: Tensor, supports,
+                  cell) -> Tensor:
+    """One recurrent step: reset/update gates, candidate state, convex blend."""
+    xh = tape.concat([x_t, h_prev])
+    xh_stack = diffused_stack(tape, supports, xh)
+    r = tape.sigmoid(gate_from_stack(tape, xh_stack, cell.reset))
+    u = tape.sigmoid(gate_from_stack(tape, xh_stack, cell.update))
+    xrh = tape.concat([x_t, tape.hadamard(r, h_prev)])
+    c = tape.tanh(gate_from_stack(tape, diffused_stack(tape, supports, xrh), cell.candidate))
+    h = tape.add(tape.hadamard(u, h_prev), tape.hadamard(tape.sub_from_one(u), c))
+    if not np.isfinite(h.value).all():
+        raise NumericalError("numerical divergence")
+    return h
 
 
 # ----------------------------------------------------------------------

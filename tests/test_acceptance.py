@@ -19,7 +19,7 @@ from flowcast.data import (TICK, SyntheticScenario, TimeSeriesPanel,
                            impute, make_windows, slice_for_partition, split, transform)
 from flowcast.graph import (HaversineDistances, SensorGraph, TableDistances,
                             build_adjacency, canonical_order, knn_candidates)
-from flowcast.model import (GateParams, Seq2SeqConfig, build_supports, diffusion_conv,
+from flowcast.model import (Seq2SeqConfig, build_supports, diffusion_conv,
                             init_params, loss_multi, seq2seq_loss)
 from flowcast.autodiff import Tensor
 from flowcast.partition import (PartitionAssignment, add_overlap_nodes,
@@ -120,9 +120,9 @@ def test_criterion_2_diffusion_oracle():
             blocks = [[rng.normal(size=(c_in, units)) for _ in range(k)]
                       for _ in range(sup.n_supports)]
             bias = rng.normal(size=units)
-            gate = GateParams([[Tensor(b) for b in per] for per in blocks], Tensor(bias))
+            gates = np.concatenate([b for per in blocks for b in per], axis=1)
             z = rng.normal(size=(n, c_in))
-            got = diffusion_conv(Tape(), sup, Tensor(z[None]), gate).value[0]
+            got = diffusion_conv(sup, z[None], gates)[0] + bias
             want = dense_diffusion([m.to_dense() for m in sup.matrices], z, blocks, bias)
             worst = max(worst, float(np.abs(got - want).max()))
         assert worst <= 1e-10, f"worst deviation {worst:.2e}"

@@ -197,6 +197,25 @@ def test_bad_model_setting_exits_2_before_reading_files(capsys, tmp_path, comman
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.ini"]
 
 
+@pytest.mark.parametrize("setting", [
+    "graph.sigma_mode=nan",    # exited 0 with no edges and sigma NaN
+    "graph.sigma_mode=inf",    # exited 0 with every weight 1.0
+    "graph.sigma_mode=-1",     # exited 4
+    "graph.sigma_mode=x",      # exited 1 with a traceback
+    "graph.threshold_on=foo",  # exited 1 with a traceback
+    "graph.threshold=nan",     # exited 0 with no edges
+])
+def test_bad_graph_setting_exits_2_before_reading_files(capsys, tmp_path, setting):
+    # nothing exists under tmp_path: any file read would fail with another error
+    _, config = _write_config(tmp_path)
+    code = main(["build-graph", "--config", config, "--set", setting])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 2 and len(lines) == 1
+    out = json.loads(lines[0])
+    assert out["kind"] == "config" and setting.split("=")[0] in out["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.ini"]
+
+
 def test_missing_checkpoints_exit_2(trained, capsys, tmp_path):
     root, config = trained
     import shutil
@@ -388,6 +407,15 @@ def test_partition_failure_exits_4(trained, capsys, tmp_path):
     out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert code == 4 and out["kind"] == "numerical"
     assert "degenerate" in out["message"]
+
+
+def test_cli_import_loads_no_network_stack():
+    # only the routing provider needs urllib, which loads ssl, http and email
+    probe = ("import sys, flowcast.cli; "
+             "print(sorted(m for m in ('ssl', 'urllib.request') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_entry_point_runs():

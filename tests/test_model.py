@@ -11,8 +11,8 @@ from flowcast.graph import SensorGraph
 from flowcast.model import (CellParams, GateParams, Seq2SeqConfig,
                             build_supports, dcgru_cell, decode, diffusion_conv, encode,
                             init_params, loss_multi, predict, seq2seq_loss)
-from oracles import (assert_backward_matches_oracle, assert_grads_close, csr_from_dense,
-                     dense_diffusion, finite_difference)
+from oracles import (ComposedTape, assert_backward_matches_oracle, assert_grads_close,
+                     composed_cell, csr_from_dense, dense_diffusion, finite_difference)
 
 
 def graph_of(dense) -> SensorGraph:
@@ -57,21 +57,27 @@ def _gate(blocks, bias) -> GateParams:
     return GateParams([[Tensor(b) for b in per] for per in blocks], Tensor(bias))
 
 
+def _joined(blocks) -> np.ndarray:
+    """Per-support, per-step blocks side by side, as diffusion_conv takes them."""
+    return np.concatenate([b for per in blocks for b in per], axis=1)
+
+
 def test_diffusion_conv_identity_blocks():
     g = graph_of([[0.0, 1.0], [1.0, 0.0]])
     sup = build_supports(g, "dual_random_walk", max_steps=1)
     z = np.array([[[1.0, -2.0], [0.5, 3.0]]])
-    gate = _gate([[np.eye(2)], [np.zeros((2, 2))]], np.zeros(2))
-    out = diffusion_conv(Tape(), sup, Tensor(z), gate)
-    assert np.array_equal(out.value, z)  # d=0 transition is the identity
+    out = diffusion_conv(sup, z, _joined([[np.eye(2)], [np.zeros((2, 2))]]))
+    assert np.array_equal(out, z)  # d=0 transition is the identity
 
 
 def test_diffusion_conv_zero_input_broadcasts_bias():
+    # the filter carries no bias; the cell adds it to the filter's output
     g = graph_of([[0.0, 1.0], [1.0, 0.0]])
     sup = build_supports(g, "random_walk", max_steps=2)
-    gate = _gate([[np.ones((1, 3)), np.ones((1, 3))]], np.array([0.5, -1.0, 2.0]))
-    out = diffusion_conv(Tape(), sup, Tensor(np.zeros((1, 2, 1))), gate)
-    assert np.allclose(out.value, np.array([0.5, -1.0, 2.0]))
+    bias = np.array([0.5, -1.0, 2.0])
+    out = diffusion_conv(sup, np.zeros((1, 2, 1)),
+                         _joined([[np.ones((1, 3)), np.ones((1, 3))]])) + bias
+    assert np.array_equal(out, np.broadcast_to(bias, (1, 2, 3)))
 
 
 def test_diffusion_conv_matches_dense_oracle():
@@ -89,7 +95,7 @@ def test_diffusion_conv_matches_dense_oracle():
                   for _ in range(sup.n_supports)]
         bias = rng.normal(size=units)
         z = rng.normal(size=(n, c_in))
-        got = diffusion_conv(Tape(), sup, Tensor(z[None]), _gate(blocks, bias)).value[0]
+        got = diffusion_conv(sup, z[None], _joined(blocks))[0] + bias
         want = dense_diffusion([m.to_dense() for m in sup.matrices], z, blocks, bias)
         assert np.abs(got - want).max() <= 1e-10
 
@@ -163,6 +169,51 @@ def test_cell_flags_numerical_divergence():
     bad = np.full((1, 2, 1), np.nan)
     with pytest.raises(NumericalError, match="numerical divergence"):
         dcgru_cell(Tape(), Tensor(bad), Tensor(np.zeros((1, 2, 1))), sup, cell)
+
+
+def _assert_close_relative(got, want, tol=1e-12):
+    scale = max(float(np.abs(want).max()), 1e-300)
+    assert float(np.abs(got - want).max()) <= tol * scale
+
+
+@pytest.mark.parametrize("filter_type", ["random_walk", "dual_random_walk"])
+@pytest.mark.parametrize("steps", [1, 2, 3])
+@pytest.mark.parametrize("in_dim", [1, 2])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_cell_matches_composed_oracle(filter_type, steps, in_dim, batch):
+    # two steps on one tape: the input is recorded (as a decoder's previous
+    # projection is), is read by both steps, and the second step's state is
+    # the first step's output; value and every leaf gradient at 1e-12 relative
+    rng = np.random.default_rng(100 * steps + 10 * in_dim + batch)
+    n, units = 6, 3
+    dense = np.where(rng.uniform(size=(n, n)) < 0.5, rng.uniform(0.1, 1.0, (n, n)), 0.0)
+    np.fill_diagonal(dense, 0.0)
+    sup = build_supports(graph_of(dense), filter_type, max_steps=steps)
+    cell = _manual_cell(units, in_dim, sup.n_supports, steps, rng=rng)
+    for gate in (cell.reset, cell.update, cell.candidate):
+        gate.bias.value = rng.normal(size=units) * 0.3
+    x_leaf = Tensor(rng.normal(size=(batch, n, in_dim)))
+    scale = Tensor(rng.normal(size=(batch, n, in_dim)))
+    h0 = Tensor(rng.normal(size=(batch, n, units)) * 0.5)
+    weight = rng.normal(size=(batch, n, units))
+    leaves = [x_leaf, scale, h0] + [
+        t for gate in (cell.reset, cell.update, cell.candidate)
+        for t in [b for per in gate.blocks for b in per] + [gate.bias]]
+
+    def run(tape, step):
+        x = tape.hadamard(x_leaf, scale)
+        h = step(tape, x, step(tape, x, h0, sup, cell), sup, cell)
+        # the target lies below every output, so d loss / d h = weight / size
+        loss = tape.mean_abs(tape.hadamard(h, tape.constant(weight)),
+                             tape.constant(np.full(h.value.shape, -1e3)))
+        return h.value, grads_for(tape.backward(loss), leaves)
+
+    got_h, got = run(Tape(), dcgru_cell)
+    want_h, want = run(ComposedTape(), composed_cell)
+    _assert_close_relative(got_h, want_h)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        _assert_close_relative(g, w)
 
 
 # ----------------------------------------------------------------------

@@ -9,8 +9,8 @@ from flowcast.autodiff import Tape, Tensor, grads_for
 from flowcast.optim import AdamState, adam_step, clip_by_global_norm, global_norm
 from flowcast.sparse import DENSE_MAX_CELLS, CsrMatrix
 
-from oracles import (assert_backward_matches_oracle, assert_grads_close, csr_from_dense,
-                     csr_identity, finite_difference)
+from oracles import (ComposedTape, assert_backward_matches_oracle, assert_grads_close,
+                     csr_from_dense, csr_identity, finite_difference)
 
 
 # ----------------------------------------------------------------------
@@ -86,7 +86,7 @@ def test_matmul_partition_sized_support_forward_and_backward():
     assert s._use_dense_kernel()
     x = rng.normal(size=(4, 300, 17))
     assert np.abs(s.matmul(x) - np.einsum("ij,bjc->bic", dense, x)).max() <= 1e-12
-    tape = Tape()
+    tape = ComposedTape()
     leaf = Tensor(x)
     weight = tape.constant(rng.normal(size=x.shape))
     out = tape.hadamard(tape.spmm(s, leaf), weight)
@@ -232,12 +232,12 @@ def test_restrict_reorders_by_position():
 
 
 # ----------------------------------------------------------------------
-# tape primitives
+# tape primitives (ComposedTape adds those only the previous cell used)
 # ----------------------------------------------------------------------
 
 
 def test_spmm_identity_and_hand_example():
-    tape = Tape()
+    tape = ComposedTape()
     x = Tensor([[1.0], [2.0]])
     assert np.array_equal(tape.spmm(csr_identity(2), x).value, x.value)
     s = csr_from_dense([[0.0, 1.0], [0.0, 0.0]])
@@ -247,7 +247,7 @@ def test_spmm_identity_and_hand_example():
 
 
 def test_pointwise_primitive_examples():
-    tape = Tape()
+    tape = ComposedTape()
     assert tape.sigmoid(Tensor(0.0)).value == 0.5
     assert tape.tanh(Tensor(0.0)).value == 0.0
     out = tape.hadamard(Tensor([2.0, 3.0]), Tensor([4.0, 5.0]))
@@ -259,7 +259,7 @@ def test_pointwise_primitive_examples():
 
 
 def test_sigmoid_saturates_without_nan():
-    tape = Tape()
+    tape = ComposedTape()
     out = tape.sigmoid(Tensor([-1e9, 0.0, 1e9]))
     assert out.value.tolist() == [0.0, 0.5, 1.0]
 
@@ -271,14 +271,14 @@ def test_backward_square_and_sigmoid():
     grads = tape.backward(loss)
     assert grads[p.uid] == pytest.approx(6.0)
 
-    tape = Tape()
+    tape = ComposedTape()
     p = Tensor(0.0)
     loss = tape.mean_abs(tape.sigmoid(p), tape.constant(0.0))
     assert tape.backward(loss)[p.uid] == pytest.approx(0.25)
 
 
 def test_backward_rejects_foreign_or_nonscalar_loss():
-    tape = Tape()
+    tape = ComposedTape()
     stray = Tensor(1.0)
     with pytest.raises(ValueError, match="not recorded"):
         tape.backward(stray)
@@ -288,7 +288,7 @@ def test_backward_rejects_foreign_or_nonscalar_loss():
 
 
 def test_gradient_accumulates_over_reused_tensor():
-    tape = Tape()
+    tape = ComposedTape()
     p = Tensor([1.0, 2.0])
     loss = tape.mean_abs(tape.add(p, p), tape.constant(np.zeros(2)))
     # d/dp mean(|2p|) = 2 * sign(p) / 2
@@ -296,7 +296,7 @@ def test_gradient_accumulates_over_reused_tensor():
 
 
 def test_record_off_tape_keeps_nothing():
-    tape = Tape(record=False)
+    tape = ComposedTape(record=False)
     p = Tensor([1.0, -2.0])
     loss = tape.mean_abs(tape.tanh(tape.add(p, p)), tape.constant(np.zeros(2)))
     assert loss.value == np.abs(np.tanh(2.0 * p.value)).mean()
@@ -306,7 +306,7 @@ def test_record_off_tape_keeps_nothing():
 
 
 def test_backward_consumes_its_tape():
-    tape = Tape()
+    tape = ComposedTape()
     p, zero = Tensor([1.0, 2.0]), tape.constant(np.zeros(2))
     loss = tape.mean_abs(tape.add(p, p), zero)
     assert set(tape.backward(loss)) == {p.uid, zero.uid}  # leaves only
@@ -315,9 +315,9 @@ def test_backward_consumes_its_tape():
 
 
 def _composite_loss(params, s):
-    """Exercises every primitive the model uses."""
+    """Exercises every primitive of the library tape and of ComposedTape."""
     w1, w2, b = params
-    tape = Tape()
+    tape = ComposedTape()
     x = tape.constant(np.linspace(-1.0, 1.0, 12).reshape(2, 3, 2))
     z = tape.concat([x, tape.spmm(s, x)])
     h = tape.tanh(tape.add_bias(tape.matmul(z, Tensor(w1)), Tensor(b)))
@@ -343,7 +343,7 @@ def test_composite_gradients_match_finite_differences():
     leaves = [Tensor(a) for a in arrays]
 
     def run_tape():
-        tape = Tape()
+        tape = ComposedTape()
         x = tape.constant(np.linspace(-1.0, 1.0, 12).reshape(2, 3, 2))
         z = tape.concat([x, tape.spmm(s, x)])
         h = tape.tanh(tape.add_bias(tape.matmul(z, leaves[0]), leaves[2]))
@@ -375,7 +375,7 @@ def test_spmm_gradients_match_finite_differences_on_large_support():
     leaves = [Tensor(rng.normal(size=(2, 70, 2))), Tensor(rng.normal(size=(6, 3)) * 0.5)]
 
     def run_tape():
-        tape = Tape()
+        tape = ComposedTape()
         x = leaves[0]
         sx = tape.spmm(s, x)
         z = tape.concat([x, sx, tape.spmm(s, sx)])
