@@ -15,7 +15,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,52 +24,79 @@ from . import analysis, data, graph as graphmod, partition as partmod, training
 from .errors import ConfigError, DataError, FlowcastError, NumericalError
 from .model import FILTER_TYPES
 
-_DEFAULTS = {
-    "paths": {"metadata": "", "timeseries": "", "output_dir": "out", "distance_table": ""},
-    "graph": {"k_nn": "30", "threshold_on": "distance_sq", "threshold": "100.0",
-              "sigma_mode": "auto", "provider": "haversine", "routing_url": ""},
-    "partition": {"k": "2", "imbalance": "0.05", "d_prime": "1.0", "horizon_k": "30"},
-    "data": {"impute": "temporal_mean", "train_fraction": "0.7", "valid_fraction": "0.1"},
-    "model": {"mode": "speed_only", "lookback": "12", "horizon": "12", "layers": "2",
-              "units": "16", "diffusion_steps": "2", "filter_type": "random_walk"},
-    "training": {"batch_size": "64", "epochs": "30", "patience": "10",
-                 "learning_rate": "0.01", "lr_decay": "0.1", "lr_milestones": "",
-                 "max_grad_norm": "5.0", "sampling_tau": "40.0", "seed": "0"},
-    "synth": {"nodes": "24", "days": "14", "clusters": "2", "noise": "0.05",
-              "seed": "0", "congestion_windows": "7-9,16-18"},
+
+def _rule(convert, check, rule: str, unconvertible: str | None = None):
+    """A parse that converts the text and checks the value, or raises ValueError(rule)."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise ValueError(unconvertible or rule) from None
+        if not check(value):
+            raise ValueError(rule)
+        return value
+    return parse
+
+
+def _choice(choices):
+    return _rule(str, lambda v: v in choices, f"must be one of {', '.join(choices)}")
+
+
+_count = _rule(int, lambda v: v >= 1, "must be at least 1", "must be an integer")
+_seed = _rule(int, lambda v: v >= 0, "must be at least 0", "must be an integer")
+_positive = _rule(float, lambda v: 0.0 < v < math.inf, "must be a finite number greater than 0")
+_nonnegative = _rule(float, lambda v: 0.0 <= v < math.inf, "must be a finite number at least 0")
+_path = _rule(str, lambda v: "\0" not in v, "must not contain a NUL character")
+_url = _rule(str, lambda v: not v or v.startswith(("http://", "https://")),
+             "must be empty or an http:// or https:// URL")
+_sigma = _rule(lambda t: t if t == "auto" else float(t),
+               lambda v: v == "auto" or 0.0 < v < math.inf,
+               "must be auto or a finite number greater than 0")
+_milestones = _rule(  # empty: TrainingConfig derives them from epochs
+    lambda t: tuple(int(m) for m in t.split(",")) if t.strip() else None,
+    lambda ms: ms is None or (ms[0] >= 1 and all(a < b for a, b in zip(ms, ms[1:]))),
+    "must be empty or integers of at least 1 in strictly increasing order")
+_windows = _rule(
+    lambda t: (tuple(tuple(float(h) for h in w.split("-")) for w in t.split(","))
+               if t.strip() else ()),
+    lambda ws: all(len(w) == 2 and 0.0 <= w[0] < w[1] <= 24.0 for w in ws),
+    "must be start-end hour pairs with 0 <= start < end <= 24")
+
+# section -> key -> (default text, parse); parse returns the typed value or
+# raises ValueError naming the rule. load_config applies every row.
+_SETTINGS = {
+    "paths": {"metadata": ("", _path), "timeseries": ("", _path),
+              "output_dir": ("out", _path), "distance_table": ("", _path)},
+    "graph": {"k_nn": ("30", _count),
+              "threshold_on": ("distance_sq", _choice(graphmod.THRESHOLD_MODES)),
+              "threshold": ("100.0", _nonnegative), "sigma_mode": ("auto", _sigma),
+              "provider": ("haversine", _choice(("haversine", "table", "routing"))),
+              "routing_url": ("", _url)},
+    "partition": {"k": ("2", _count), "imbalance": ("0.05", _nonnegative),
+                  "d_prime": ("1.0", _positive), "horizon_k": ("30", _count)},
+    "data": {"impute": ("temporal_mean", _choice(data.IMPUTE_METHODS)),
+             "train_fraction": ("0.7", _positive), "valid_fraction": ("0.1", _positive)},
+    "model": {"mode": ("speed_only", _choice(training.MODE_FEATURES)),
+              "lookback": ("12", _count), "horizon": ("12", _count), "layers": ("2", _count),
+              "units": ("16", _count), "diffusion_steps": ("2", _count),
+              "filter_type": ("random_walk", _choice(FILTER_TYPES))},
+    "training": {"batch_size": ("64", _count), "epochs": ("30", _count),
+                 "patience": ("10", _count), "learning_rate": ("0.01", _nonnegative),
+                 "lr_decay": ("0.1", _positive), "lr_milestones": ("", _milestones),
+                 "max_grad_norm": ("5.0", _positive), "sampling_tau": ("40.0", _positive),
+                 "seed": ("0", _seed)},
+    "synth": {"nodes": ("24", _count), "days": ("14", _count), "clusters": ("2", _count),
+              "noise": ("0.05", _nonnegative), "seed": ("0", _seed),
+              "congestion_windows": ("7-9,16-18", _windows)},
 }
 
 
 @dataclass
 class PipelineConfig:
-    raw: dict[str, dict[str, str]] = field(default_factory=dict)
+    values: dict[str, dict[str, object]]  # typed, one entry per _SETTINGS row
 
-    def get(self, section: str, key: str) -> str:
-        return self.raw[section][key]
-
-    def get_int(self, section: str, key: str, minimum: int | None = None) -> int:
-        try:
-            value = int(self.get(section, key))
-        except ValueError:
-            raise ConfigError(f"{section}.{key} must be an integer") from None
-        if minimum is not None and value < minimum:
-            raise ConfigError(f"{section}.{key} must be at least {minimum}, got {value}")
-        return value
-
-    def get_float(self, section: str, key: str, minimum: float | None = None,
-                  strict: bool = False) -> float:
-        """A float; with minimum, values that are not finite or lie below it
-        (or equal, if strict) raise."""
-        try:
-            value = float(self.get(section, key))
-        except ValueError:
-            raise ConfigError(f"{section}.{key} must be a number") from None
-        if minimum is not None and not (math.isfinite(value)
-                                        and (value > minimum if strict else value >= minimum)):
-            bound = "greater than" if strict else "at least"
-            raise ConfigError(f"{section}.{key} must be a finite number {bound} {minimum}, "
-                              f"got {value}")
-        return value
+    def get(self, section: str, key: str):
+        return self.values[section][key]
 
     def path(self, key: str, must_exist: bool = False) -> Path:
         value = self.get("paths", key)
@@ -81,48 +108,51 @@ class PipelineConfig:
         return p
 
     def training_config(self) -> training.TrainingConfig:
-        milestones_text = self.get("training", "lr_milestones").strip()
-        milestones = (tuple(int(m) for m in milestones_text.split(",") if m.strip())
-                      if milestones_text else None)
-        return training.TrainingConfig(
-            batch_size=self.get_int("training", "batch_size"),
-            diffusion_steps=self.get_int("model", "diffusion_steps"),
-            layers=self.get_int("model", "layers"),
-            units=self.get_int("model", "units"),
-            max_grad_norm=self.get_float("training", "max_grad_norm"),
-            learning_rate=self.get_float("training", "learning_rate"),
-            lr_decay=self.get_float("training", "lr_decay"),
-            lr_milestones=milestones,
-            epochs=self.get_int("training", "epochs"),
-            patience=self.get_int("training", "patience"),
-            sampling_tau=self.get_float("training", "sampling_tau"),
-            seed=self.get_int("training", "seed"),
-            filter_type=self.get("model", "filter_type"),
-        )
+        model = self.values["model"]
+        return training.TrainingConfig(**self.values["training"], **{
+            key: model[key] for key in ("diffusion_steps", "layers", "units", "filter_type")})
 
 
 def load_config(path: str, overrides: list[str]) -> PipelineConfig:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
-    raw = {section: dict(values) for section, values in _DEFAULTS.items()}
-    for section in parser.sections():
-        if section not in raw:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key, value in parser.items(section):
-            if key not in raw[section]:
-                raise ConfigError(f"unknown config key {section}.{key}")
-            raw[section][key] = value
+    """Read the file and the --set overrides, then parse every setting and
+    apply the cross-key rules; any bad value is a ConfigError naming its key."""
+    parser, text = configparser.ConfigParser(), {}
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path}")
+        for section in parser.sections():
+            if section not in _SETTINGS:
+                raise ConfigError(f"unknown config section [{section}]")
+            text.update(((section, key), value) for key, value in parser.items(section))
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path}: {exc}") from None
     for item in overrides:
-        if "=" not in item or "." not in item.split("=", 1)[0]:
+        target, eq, value = item.partition("=")
+        section, dot, key = target.partition(".")
+        if not (eq and dot):
             raise ConfigError(f"--set expects section.key=value, got {item!r}")
-        target, value = item.split("=", 1)
-        section, key = target.split(".", 1)
-        if section not in raw or key not in raw[section]:
+        text[section, key] = value
+    for section, key in text:
+        if key not in _SETTINGS.get(section, {}):
             raise ConfigError(f"unknown config key {section}.{key}")
-        raw[section][key] = value
-    return PipelineConfig(raw)
+    values = {section: {} for section in _SETTINGS}
+    for section, rows in _SETTINGS.items():
+        for key, (default, parse) in rows.items():
+            value = text.get((section, key), default)
+            try:
+                values[section][key] = parse(value)
+            except ValueError as exc:
+                raise ConfigError(f"{section}.{key} {exc}, got {key} {value!r}") from None
+    fractions, graph, synth = values["data"], values["graph"], values["synth"]
+    if fractions["train_fraction"] + fractions["valid_fraction"] >= 1.0:
+        raise ConfigError("data.train_fraction + data.valid_fraction must be less than 1")
+    if graph["provider"] == "routing" and not graph["routing_url"]:
+        raise ConfigError("graph.routing_url is required for the routing provider")
+    if graph["provider"] == "table" and not values["paths"]["distance_table"]:
+        raise ConfigError("paths.distance_table is required for the table provider")
+    if synth["clusters"] > synth["nodes"]:
+        raise ConfigError("synth.clusters must be at most synth.nodes")
+    return PipelineConfig(values)
 
 
 def _summary(command: str, **fields) -> None:
@@ -131,40 +161,23 @@ def _summary(command: str, **fields) -> None:
 
 def _provider_for(config: PipelineConfig, meta):
     kind = config.get("graph", "provider")
-    if kind == "haversine":
-        return graphmod.HaversineDistances(graphmod.canonical_order(meta))
     if kind == "table":
         return graphmod.TableDistances.from_csv(config.path("distance_table", must_exist=True), meta)
+    order = graphmod.canonical_order(meta)
     if kind == "routing":
-        url = config.get("graph", "routing_url")
-        if not url:
-            raise ConfigError("graph.routing_url is required for the routing provider")
-        return graphmod.RoutingServiceClient(url, graphmod.canonical_order(meta))
-    raise ConfigError(f"unknown distance provider {kind!r}")
+        return graphmod.RoutingServiceClient(config.get("graph", "routing_url"), order)
+    return graphmod.HaversineDistances(order)
 
 
-def _model_settings(config: PipelineConfig):
-    """((input, output) features, lookback, horizon) from the [model] section,
-    checked with model.filter_type before a command reads any file, so a bad
-    value exits 2 naming its key."""
-    features = training.mode_features(config.get("model", "mode"))
-    filter_type = config.get("model", "filter_type")
-    if filter_type not in FILTER_TYPES:
-        raise ConfigError(f"model.filter_type must be one of {', '.join(FILTER_TYPES)}, "
-                          f"got {filter_type!r}")
-    return (features, config.get_int("model", "lookback", minimum=1),
-            config.get_int("model", "horizon", minimum=1))
-
-
-def _load_split_panels(config: PipelineConfig, min_length: int):
+def _load_split_panels(config: PipelineConfig):
     """Shared ingestion path: read, impute (training-slice statistics), split
-    into slices of at least min_length ticks (lookback + horizon)."""
+    into slices of at least lookback + horizon ticks."""
     panel = data.read_timeseries_csv(config.path("timeseries", must_exist=True))
-    train_frac = config.get_float("data", "train_fraction")
-    valid_frac = config.get_float("data", "valid_fraction")
+    settings = config.values["data"]
+    train_frac, valid_frac = settings["train_fraction"], settings["valid_fraction"]
     fractions = (train_frac, valid_frac, 1.0 - train_frac - valid_frac)
-    stats_through = int(panel.n_ticks * train_frac)
-    imputed = data.impute(panel, config.get("data", "impute"), stats_through=stats_through)
+    imputed = data.impute(panel, settings["impute"], stats_through=int(panel.n_ticks * train_frac))
+    min_length = config.get("model", "lookback") + config.get("model", "horizon")
     parts = data.split(imputed, fractions, min_length=min_length)
     return imputed, parts
 
@@ -175,21 +188,11 @@ def _load_split_panels(config: PipelineConfig, min_length: int):
 
 
 def cmd_synth(config: PipelineConfig) -> None:
-    windows = []
-    text = config.get("synth", "congestion_windows").strip()
-    if text:
-        for token in text.split(","):
-            lo, hi = token.split("-")
-            windows.append((float(lo), float(hi)))
-    scenario = data.SyntheticScenario(
-        n_nodes=config.get_int("synth", "nodes"),
-        days=config.get_int("synth", "days"),
-        clusters=config.get_int("synth", "clusters"),
-        congestion_windows=tuple(windows),
-        noise=config.get_float("synth", "noise"),
-        seed=config.get_int("synth", "seed"),
-    )
-    meta, panel = data.generate_synthetic(scenario)
+    synth = config.values["synth"]
+    meta, panel = data.generate_synthetic(data.SyntheticScenario(
+        n_nodes=synth["nodes"], days=synth["days"], clusters=synth["clusters"],
+        congestion_windows=synth["congestion_windows"], noise=synth["noise"],
+        seed=synth["seed"]))
     meta_path = config.path("metadata")
     series_path = config.path("timeseries")
     meta_path.parent.mkdir(parents=True, exist_ok=True)
@@ -201,18 +204,12 @@ def cmd_synth(config: PipelineConfig) -> None:
 
 
 def cmd_build_graph(config: PipelineConfig) -> None:
-    k_nn = config.get_int("graph", "k_nn", minimum=1)
-    thresh = config.get_float("graph", "threshold", minimum=0.0)
-    threshold_on = config.get("graph", "threshold_on")
-    if threshold_on not in ("distance_sq", "weight"):
-        raise ConfigError(f"graph.threshold_on must be distance_sq or weight, got {threshold_on!r}")
-    sigma_mode = config.get("graph", "sigma_mode")
-    if sigma_mode != "auto":
-        sigma_mode = config.get_float("graph", "sigma_mode", minimum=0.0, strict=True)
+    settings = config.values["graph"]
     meta = graphmod.read_metadata_csv(config.path("metadata", must_exist=True))
-    g = graphmod.build_adjacency(meta, graphmod.knn_candidates(meta, k_nn),
-                                 _provider_for(config, meta), thresh=thresh,
-                                 sigma_mode=sigma_mode, threshold_on=threshold_on)
+    g = graphmod.build_adjacency(meta, graphmod.knn_candidates(meta, settings["k_nn"]),
+                                 _provider_for(config, meta), thresh=settings["threshold"],
+                                 sigma_mode=settings["sigma_mode"],
+                                 threshold_on=settings["threshold_on"])
     out_dir = config.path("output_dir")
     out_dir.mkdir(parents=True, exist_ok=True)
     g.save(out_dir / "graph.json")
@@ -227,15 +224,13 @@ def cmd_partition(config: PipelineConfig) -> None:
         raise ConfigError(f"missing {graph_path}; run build-graph first")
     g = graphmod.SensorGraph.load(graph_path)
     meta = graphmod.read_metadata_csv(config.path("metadata", must_exist=True))
-    k = config.get_int("partition", "k", minimum=1)
-    imbalance = config.get_float("partition", "imbalance", minimum=0.0)
-    horizon_k = config.get_int("partition", "horizon_k", minimum=1)
-    d_prime = config.get_float("partition", "d_prime", minimum=0.0, strict=True)
-    seed = config.get_int("training", "seed")
-    assignment = partmod.partition_graph(g, k, imbalance, seed=seed)
+    settings = config.values["partition"]
+    k = settings["k"]
+    assignment = partmod.partition_graph(g, k, settings["imbalance"],
+                                         seed=config.get("training", "seed"))
     provider = _provider_for(config, meta)
-    halos = [partmod.add_overlap_nodes(g, assignment, p, horizon_k, d_prime, provider)
-             for p in range(k)]
+    halos = [partmod.add_overlap_nodes(g, assignment, p, settings["horizon_k"],
+                                       settings["d_prime"], provider) for p in range(k)]
     bundles = partmod.extract_subgraphs(g, assignment, halos)
     partmod.write_assignment_csv(out_dir / "assignment.csv", g, assignment)
     partmod.write_bundles(out_dir / "bundles", bundles)
@@ -245,14 +240,13 @@ def cmd_partition(config: PipelineConfig) -> None:
 
 
 def cmd_train(config: PipelineConfig, workers: int = 1) -> None:
-    _, lookback, horizon = _model_settings(config)
+    model = config.values["model"]
     out_dir = config.path("output_dir")
     bundles = partmod.read_bundles(out_dir / "bundles")
-    _, (train_panel, valid_panel, _) = _load_split_panels(config, lookback + horizon)
-    tc = config.training_config()
+    _, (train_panel, valid_panel, _) = _load_split_panels(config)
     results = training.train_all(
-        bundles, train_panel, valid_panel, tc, mode=config.get("model", "mode"),
-        lookback=lookback, horizon=horizon, workers=workers,
+        bundles, train_panel, valid_panel, config.training_config(), mode=model["mode"],
+        lookback=model["lookback"], horizon=model["horizon"], workers=workers,
     )
     ckpt_dir = out_dir / "checkpoints"
     ckpt_dir.mkdir(parents=True, exist_ok=True)
@@ -280,11 +274,12 @@ def _load_checkpoints(out_dir: Path, bundles) -> list[training.Checkpoint]:
 
 
 def cmd_evaluate(config: PipelineConfig) -> None:
-    (in_f, out_f), lookback, horizon = _model_settings(config)
+    lookback, horizon = config.get("model", "lookback"), config.get("model", "horizon")
+    in_f, out_f = training.mode_features(config.get("model", "mode"))
     out_dir = config.path("output_dir")
     bundles = partmod.read_bundles(out_dir / "bundles")
     checkpoints = _load_checkpoints(out_dir, bundles)
-    _, (_, _, test_panel) = _load_split_panels(config, lookback + horizon)
+    _, (_, _, test_panel) = _load_split_panels(config)
     rows = []
     horizon_rows = []
     for bundle, ckpt in zip(bundles, checkpoints):
@@ -312,11 +307,12 @@ def cmd_evaluate(config: PipelineConfig) -> None:
 
 
 def cmd_forecast(config: PipelineConfig) -> None:
-    (in_f, _), lookback, horizon = _model_settings(config)
+    lookback = config.get("model", "lookback")
+    in_f, _ = training.mode_features(config.get("model", "mode"))
     out_dir = config.path("output_dir")
     bundles = partmod.read_bundles(out_dir / "bundles")
     checkpoints = _load_checkpoints(out_dir, bundles)
-    imputed, _ = _load_split_panels(config, lookback + horizon)
+    imputed, _ = _load_split_panels(config)
     in_idx = [imputed.feature_index(f) for f in in_f]
     rows = []
     for bundle, ckpt in zip(bundles, checkpoints):
@@ -337,7 +333,7 @@ def cmd_forecast(config: PipelineConfig) -> None:
 
 
 def cmd_analyze(config: PipelineConfig) -> None:
-    _, lookback, horizon = _model_settings(config)
+    lookback, horizon = config.get("model", "lookback"), config.get("model", "horizon")
     mode = config.get("model", "mode")
     out_dir = config.path("output_dir")
     mae_path = out_dir / "node_mae.csv"
@@ -345,20 +341,26 @@ def cmd_analyze(config: PipelineConfig) -> None:
         raise ConfigError(f"missing {mae_path}; run evaluate first")
     meta = {m.sensor_id: m for m in
             graphmod.read_metadata_csv(config.path("metadata", must_exist=True))}
-    imputed, (_, _, test_panel) = _load_split_panels(config, lookback + horizon)
+    imputed, (_, _, test_panel) = _load_split_panels(config)
     primary_feature = "flow" if mode == "flow_only" else "speed"
     cov, zero_mean = analysis.coefficient_of_variation(imputed, primary_feature)
-    cov_by_id = {sid: cov[i] for i, sid in enumerate(imputed.node_ids)}
+    cov_by_id = {sid: float(cov[i]) for i, sid in enumerate(imputed.node_ids)}
     records = []
     with open(mae_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            sid, mae = row[0], float(row[2])
-            m = meta.get(sid)
-            if m is None:
-                raise DataError(f"node {sid} missing from metadata")
-            cov_value = float(cov_by_id[sid])
+        if next(reader, [])[:2] != ["node_id", "part"]:
+            raise DataError(f"{mae_path}: expected a header node_id,part,mae_...")
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                sid, mae = row[0], float(row[2])
+            except (IndexError, ValueError):
+                mae = math.nan
+            if not 0.0 <= mae < math.inf:
+                raise DataError(f"{mae_path}: row {lineno}: expected node_id,part,finite MAE >= 0")
+            m, cov_value = meta.get(sid), cov_by_id.pop(sid, None)  # pop: one row per node
+            if m is None or cov_value is None:
+                raise DataError(f"{mae_path}: row {lineno}: node {sid} is repeated or "
+                                "lacks metadata or a series")
             if np.isnan(cov_value):
                 continue  # zero-mean node: dispersion undefined, reported in summary
             records.append(analysis.ErrorRecord.make(
@@ -366,7 +368,7 @@ def cmd_analyze(config: PipelineConfig) -> None:
     if not records:
         raise DataError("no nodes with a defined coefficient of variation")
     tree, train_acc, test_acc, importances = analysis.train_cart(
-        records, seed=config.get_int("training", "seed"))
+        records, seed=config.get("training", "seed"))
     analysis.write_error_records_csv(out_dir / "error_records.csv", records)
     analysis.write_importances_csv(out_dir / "cart_importances.csv", importances,
                                    train_acc, test_acc)
@@ -432,22 +434,13 @@ def main(argv=None) -> int:
             _COMMANDS[args.command](config, workers=args.workers)
         else:
             _COMMANDS[args.command](config)
-    except ConfigError as exc:
-        print(json.dumps({"command": args.command, "status": "error",
-                          "kind": "config", "message": str(exc)}))
-        return 2
-    except DataError as exc:
-        print(json.dumps({"command": args.command, "status": "error",
-                          "kind": "data", "message": str(exc)}))
-        return 3
-    except NumericalError as exc:
-        print(json.dumps({"command": args.command, "status": "error",
-                          "kind": "numerical", "message": str(exc)}))
-        return 4
     except FlowcastError as exc:
-        print(json.dumps({"command": args.command, "status": "error",
-                          "kind": "other", "message": str(exc)}))
-        return 1
+        kind, code = next((kind, code) for cls, kind, code in (
+            (ConfigError, "config", 2), (DataError, "data", 3),
+            (NumericalError, "numerical", 4), (FlowcastError, "other", 1)) if isinstance(exc, cls))
+        print(json.dumps({"command": args.command, "status": "error", "kind": kind,
+                          "message": str(exc)}))
+        return code
     return 0
 
 

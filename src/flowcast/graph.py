@@ -23,6 +23,7 @@ from .sparse import CsrMatrix
 EARTH_RADIUS_MILES = 3958.7613
 
 METADATA_HEADER = ["sensor_id", "latitude", "longitude", "district", "sensor_type", "lane_type"]
+THRESHOLD_MODES = ("distance_sq", "weight")  # build_adjacency threshold_on values
 
 
 @dataclass(frozen=True)
@@ -406,7 +407,7 @@ def build_adjacency(meta: list[SensorMeta], pairs: set[tuple[int, int]], provide
     sigma_mode is "auto" (population std of all queried distances) or a fixed float.
     Self pairs (i, i) are skipped.
     """
-    if threshold_on not in ("distance_sq", "weight"):
+    if threshold_on not in THRESHOLD_MODES:
         raise ValueError(f"unknown threshold mode {threshold_on!r}")
     ordered = canonical_order(meta)
     n = len(ordered)

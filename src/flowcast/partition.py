@@ -68,10 +68,6 @@ class SubgraphBundle:
     def n_local(self) -> int:
         return int(self.local_to_global.size)
 
-    @property
-    def owned_global(self) -> np.ndarray:
-        return self.local_to_global[~self.halo_flags]
-
 
 # ----------------------------------------------------------------------
 # phase 0: symmetrization
@@ -490,24 +486,6 @@ def write_assignment_csv(path, graph: SensorGraph, assignment: PartitionAssignme
         writer.writerow(["sensor_id", "part"])
         for i, sid in enumerate(graph.sensor_ids):
             writer.writerow([sid, int(assignment.part_of[i])])
-
-
-def read_assignment_csv(path, graph: SensorGraph) -> PartitionAssignment:
-    part = -np.ones(graph.n_nodes, dtype=np.int64)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["sensor_id", "part"]:
-            raise DataError(f"{path}: expected header sensor_id,part")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 2 or row[0] not in graph.id_to_index:
-                raise DataError(f"{path}: row {lineno}: bad assignment row")
-            if not (row[1].isascii() and row[1].isdigit()):
-                raise DataError(f"{path}: row {lineno}: part must be a non-negative integer")
-            part[graph.id_to_index[row[0]]] = int(row[1])
-    if (part < 0).any():
-        raise DataError(f"{path}: some sensors have no part assigned")
-    return PartitionAssignment(part, int(part.max()) + 1)
 
 
 def write_bundles(out_dir, bundles: list[SubgraphBundle]) -> None:

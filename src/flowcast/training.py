@@ -31,16 +31,14 @@ from .partition import SubgraphBundle
 from .sparse import CsrMatrix
 
 _EVAL_BATCH = 256  # windows per inference batch in evaluate()
+MODE_FEATURES = {"speed_only": ("speed",), "flow_only": ("flow",),
+                 "multioutput": ("speed", "flow")}  # each mode's input = output features
 
 
 def mode_features(mode: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    if mode == "speed_only":
-        return ("speed",), ("speed",)
-    if mode == "flow_only":
-        return ("flow",), ("flow",)
-    if mode == "multioutput":
-        return ("speed", "flow"), ("speed", "flow")
-    raise ConfigError(f"unknown mode {mode!r}")
+    if mode not in MODE_FEATURES:
+        raise ConfigError(f"unknown mode {mode!r}")
+    return MODE_FEATURES[mode], MODE_FEATURES[mode]
 
 
 def scheduled_sampling_epsilon(iteration: int, tau: float) -> float:

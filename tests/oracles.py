@@ -12,11 +12,13 @@ diffused inputs, and the previous graph file encoding, which converts each
 edge field on its own.
 The last section holds small readers that only tests need: one edge weight,
 a CSR matrix from a dense array, an identity support, a box's interquartile
-range and a run report's per-epoch loss curves.
+range, a run report's per-epoch loss curves, a bundle's owned nodes and the
+assignment.csv reader.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 
@@ -539,3 +541,27 @@ def train_curve(report) -> list[float]:
 def valid_curve(report) -> list[float]:
     """Per-epoch validation loss of a TrainReport."""
     return [e.valid_loss for e in report.epochs]
+
+
+def owned_global(bundle) -> np.ndarray:
+    """Global indices of the nodes a bundle owns (its non-halo nodes)."""
+    return bundle.local_to_global[~bundle.halo_flags]
+
+
+def read_assignment_csv(path, graph) -> PartitionAssignment:
+    """Read back the assignment.csv that partition.write_assignment_csv writes."""
+    part = -np.ones(graph.n_nodes, dtype=np.int64)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ["sensor_id", "part"]:
+            raise DataError(f"{path}: expected header sensor_id,part")
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != 2 or row[0] not in graph.id_to_index:
+                raise DataError(f"{path}: row {lineno}: bad assignment row")
+            if not (row[1].isascii() and row[1].isdigit()):
+                raise DataError(f"{path}: row {lineno}: part must be a non-negative integer")
+            part[graph.id_to_index[row[0]]] = int(row[1])
+    if (part < 0).any():
+        raise DataError(f"{path}: some sensors have no part assigned")
+    return PartitionAssignment(part, int(part.max()) + 1)

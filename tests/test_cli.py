@@ -3,11 +3,15 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from flowcast.cli import main
+from flowcast import cli
+from flowcast.cli import PipelineConfig, load_config, main
+from flowcast.errors import ConfigError
 
 CONFIG_TEMPLATE = """
 [paths]
@@ -214,6 +218,159 @@ def test_bad_graph_setting_exits_2_before_reading_files(capsys, tmp_path, settin
     out = json.loads(lines[0])
     assert out["kind"] == "config" and setting.split("=")[0] in out["message"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.ini"]
+
+
+# One or more bad values for every key of cli._SETTINGS; the first of each key
+# is its one required case, the others are values that once escaped.
+BAD_SETTINGS = {
+    "paths.metadata": ["a\0b"],
+    "paths.timeseries": ["a\0b"],
+    "paths.output_dir": ["a\0b"],
+    "paths.distance_table": ["a\0b"],
+    "graph.k_nn": ["0", "x"],
+    "graph.threshold_on": ["foo"],
+    "graph.threshold": ["nan", "-1"],
+    "graph.sigma_mode": ["x", "0"],
+    "graph.provider": ["foo"],  # exited 2 naming paths.metadata when that file was missing
+    "graph.routing_url": ["file:///etc/hosts"],
+    "partition.k": ["0"],
+    "partition.imbalance": ["-0.5"],
+    "partition.d_prime": ["nan"],
+    "partition.horizon_k": ["0"],
+    "data.impute": ["foo"],  # exited 3
+    "data.train_fraction": ["nan", "0", "1.5"],  # nan: traceback; 1.5: exited 3
+    "data.valid_fraction": ["-0.1", "0.95"],  # exited 3
+    "model.mode": ["foo"],
+    "model.lookback": ["0"],
+    "model.horizon": ["0"],
+    "model.layers": ["0"],
+    "model.units": ["x"],
+    "model.diffusion_steps": ["0"],
+    "model.filter_type": ["foo"],
+    "training.batch_size": ["0"],
+    "training.epochs": ["0"],
+    "training.patience": ["-1"],
+    "training.learning_rate": ["nan", "-0.1"],  # nan: exited 4 after training
+    "training.lr_decay": ["nan", "0"],  # nan: exited 4 after training
+    "training.lr_milestones": ["a", "0", "-2,5", "5,3"],  # a: traceback; 0, -2,5: exited 0
+    "training.max_grad_norm": ["inf"],  # exited 0
+    "training.sampling_tau": ["nan"],  # exited 0
+    "training.seed": ["-1", "x"],  # -1: traceback
+    "synth.nodes": ["0"],  # exited 3
+    "synth.days": ["0"],  # exited 3
+    "synth.clusters": ["0"],  # exited 3
+    "synth.noise": ["nan", "-1"],  # exited 0 and wrote noise-free data
+    "synth.seed": ["-1"],
+    "synth.congestion_windows": ["7", "9-7", "7-30", "a-b"],  # 7, a-b: traceback; 9-7, 7-30: exited 0
+}
+
+
+def test_bad_settings_cover_every_key():
+    keys = {f"{section}.{key}" for section, rows in cli._SETTINGS.items() for key in rows}
+    assert set(BAD_SETTINGS) == keys
+
+
+def _assert_config_error_before_files(capsys, tmp_path, code, named):
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 2 and len(lines) == 1
+    out = json.loads(lines[0])
+    assert out["kind"] == "config" and named in out["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.ini"]
+
+
+@pytest.mark.parametrize("key, value", [(key, value) for key, values in BAD_SETTINGS.items()
+                                        for value in values])
+def test_every_bad_setting_exits_2_before_reading_files(capsys, tmp_path, key, value):
+    # nothing but the config exists under tmp_path; synth would write files there
+    _, config = _write_config(tmp_path)
+    for command in cli._COMMANDS:
+        code = main([command, "--config", config, "--set", f"{key}={value}"])
+        _assert_config_error_before_files(capsys, tmp_path, code, key)
+
+
+@pytest.mark.parametrize("setting, named", [
+    ("graph.provider=routing", "graph.routing_url"),
+    ("graph.provider=table", "paths.distance_table"),
+    ("synth.clusters=13", "synth.clusters"),  # the config has 12 nodes
+    ("data.valid_fraction=0.3", "data.train_fraction + data.valid_fraction"),
+])
+def test_inconsistent_settings_exit_2_before_reading_files(capsys, tmp_path, setting, named):
+    _, config = _write_config(tmp_path)
+    for command in cli._COMMANDS:
+        code = main([command, "--config", config, "--set", setting])
+        _assert_config_error_before_files(capsys, tmp_path, code, named)
+
+
+@pytest.mark.parametrize("text", [
+    b"k_nn = 3\n",  # no section header
+    b"[graph]\nk_nn = 3\nk_nn = 4\n",  # a key given twice
+    b"[graph]\nrouting_url = http://host/%zz\n",  # a bare % is interpolation syntax
+    b"[graph]\nk_nn = \xff\n",  # not UTF-8
+])
+def test_unparsable_config_file_exits_2(capsys, tmp_path, text):
+    (tmp_path / "config.ini").write_bytes(text)
+    code = main(["synth", "--config", str(tmp_path / "config.ini")])
+    _assert_config_error_before_files(capsys, tmp_path, code, "config.ini")
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(sorted(BAD_SETTINGS)),
+       text=st.one_of(st.text(), st.integers().map(str), st.floats().map(str),
+                      st.sampled_from(["auto", "", "7-9", "1,2", "routing", "http://h"])))
+def test_any_setting_text_loads_typed_or_is_a_config_error(pipeline, key, text):
+    _, config = pipeline
+    try:
+        loaded = load_config(config, [f"{key}={text}"])
+    except ConfigError:
+        return
+    assert isinstance(loaded, PipelineConfig)
+    loaded.training_config()  # the library's own guard accepts what the table accepts
+
+
+def test_readme_config_reference_matches_settings():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Config reference")[1].split("```ini\n")[1].split("```")[0]
+    listed, section = {}, None
+    for line in block.splitlines():
+        line = line.split(";")[0].strip()
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif line:
+            key, _, default = line.partition("=")
+            listed[f"{section}.{key.strip()}"] = default.strip()
+    assert listed == {f"{section}.{key}": row[0]
+                      for section, rows in cli._SETTINGS.items() for key, row in rows.items()}
+
+
+@pytest.mark.parametrize("fault", ["non_numeric_mae", "short_row", "empty_file", "nan_mae",
+                                   "sensor_missing_from_series", "repeated_node"])
+def test_corrupt_node_mae_exits_3(trained, capsys, tmp_path, fault):
+    root, config = trained
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    rows = ["node_id,part,mae_speed"] + [f"S{i:04d},{i // 6},1.5" for i in range(12)]
+    series = root / "timeseries.csv"
+    if fault == "non_numeric_mae":
+        rows[3] = "S0002,0,x"
+    elif fault == "short_row":
+        rows[3] = "S0002,0"
+    elif fault == "nan_mae":
+        rows[3] = "S0002,0,nan"
+    elif fault == "repeated_node":  # exited 0, counting the node twice
+        rows[3] = "S0001,0,1.5"
+    elif fault == "sensor_missing_from_series":
+        series = tmp_path / "series.csv"
+        lines = (root / "timeseries.csv").read_text().splitlines(keepends=True)
+        series.write_text("".join(line for line in lines if ",S0011," not in line))
+    (out_dir / "node_mae.csv").write_text("" if fault == "empty_file" else "\n".join(rows) + "\n")
+    code = main(["analyze", "--config", config, "--set", f"paths.output_dir={out_dir}",
+                 "--set", f"paths.timeseries={series}"])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 3 and len(lines) == 1
+    out = json.loads(lines[0])
+    named = {"empty_file": "header", "sensor_missing_from_series": "node S0011",
+             "repeated_node": "node S0001"}.get(fault, "row 4")
+    assert out["kind"] == "data" and "node_mae.csv" in out["message"] and named in out["message"]
 
 
 def test_missing_checkpoints_exit_2(trained, capsys, tmp_path):

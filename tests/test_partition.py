@@ -10,11 +10,12 @@ from flowcast.graph import (DistanceProvider, HaversineDistances, SensorGraph, S
 from flowcast.partition import (_MAX_FM_PASSES, CoarseLevel, PartitionAssignment, _fm_pass,
                                 _rebalance, add_overlap_nodes, coarsen, edge_cut, extract_subgraphs,
                                 heavy_edge_matching, initial_partition, partition_graph,
-                                read_assignment_csv, read_bundles, refine_uncoarsen,
+                                read_bundles, refine_uncoarsen,
                                 symmetrize, write_assignment_csv, write_bundles)
 
 import oracles
-from oracles import brute_force_min_bisection, csr_from_dense, cut_of_assignment
+from oracles import (brute_force_min_bisection, csr_from_dense, cut_of_assignment,
+                     owned_global, read_assignment_csv)
 
 
 def graph_of(dense) -> SensorGraph:
@@ -499,7 +500,7 @@ def test_extract_four_path_with_halo():
     assert np.array_equal(part0.graph.adjacency.to_dense(),
                           np.diag([1.0, 1.0], k=1))  # edges among {0,1,2}
     # non-halo sets tile the node set
-    owned = [set(b.owned_global.tolist()) for b in bundles]
+    owned = [set(owned_global(b).tolist()) for b in bundles]
     assert owned[0] | owned[1] == {0, 1, 2, 3} and owned[0] & owned[1] == set()
     with pytest.raises(ValueError):
         extract_subgraphs(g, assignment, halos=[[0], []])

@@ -20,10 +20,6 @@ PACKAGE = ROOT / "src" / "flowcast"
 
 # Kept on purpose although nothing outside the tests references them.
 ALLOWED = {
-    "read_assignment_csv": "reader of the documented assignment.csv artifact "
-                           "that write_assignment_csv produces",
-    "SubgraphBundle.owned_global": "the owned side of the halo flags, which the "
-                                   "partition tests check covers every node once",
     "SyntheticScenario.congested_flow_for_speed": "ground truth of the synthetic "
                                                   "generator that acceptance 06 checks",
     "congested_core_ticks": "ground truth of the synthetic generator that "
