@@ -8,13 +8,13 @@ normalized impurity decrease doubles as a factor importance score.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import TimeSeriesPanel
 from .errors import DataError
+from .tables import write_table
 
 FACTORS = ("cov", "district", "sensor_type", "lane_type")
 _FACTOR_KINDS = ("numeric", "categorical", "categorical", "categorical")
@@ -250,38 +250,25 @@ def emit_fundamental_diagram(pred: np.ndarray, node_ids: list[str],
 
 
 def write_error_records_csv(path, records: list[ErrorRecord]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_id", "mae", "mae_class", "cov", "district",
-                         "sensor_type", "lane_type"])
-        for r in records:
-            writer.writerow([r.node_id, repr(r.mae), r.mae_class, repr(r.cov),
-                             r.district, r.sensor_type, r.lane_type])
+    write_table(path, ["node_id", "mae", "mae_class", "cov", "district", "sensor_type",
+                       "lane_type"],
+                ([r.node_id, repr(r.mae), r.mae_class, repr(r.cov), r.district, r.sensor_type,
+                  r.lane_type] for r in records))
 
 
 def write_box_stats_csv(path, stats: BoxStats) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["q1", "median", "q3", "whisker_low", "whisker_high", "outliers"])
-        writer.writerow([repr(stats.q1), repr(stats.median), repr(stats.q3),
-                         repr(stats.whisker_low), repr(stats.whisker_high),
-                         ";".join(repr(v) for v in stats.outliers)])
+    write_table(path, ["q1", "median", "q3", "whisker_low", "whisker_high", "outliers"],
+                [[repr(stats.q1), repr(stats.median), repr(stats.q3), repr(stats.whisker_low),
+                  repr(stats.whisker_high), ";".join(repr(v) for v in stats.outliers)]])
 
 
 def write_fundamental_csv(path, rows: list[tuple]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_id", "step", "speed_mph", "flow_veh_per_5min"])
-        for sid, step, speed, flow in rows:
-            writer.writerow([sid, step, repr(speed), repr(flow)])
+    write_table(path, ["node_id", "step", "speed_mph", "flow_veh_per_5min"],
+                ([sid, step, repr(speed), repr(flow)] for sid, step, speed, flow in rows))
 
 
 def write_importances_csv(path, importances: dict[str, float],
                           train_acc: float, test_acc: float) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["factor", "importance"])
-        for name in FACTORS:
-            writer.writerow([name, repr(importances[name])])
-        writer.writerow(["train_accuracy", repr(train_acc)])
-        writer.writerow(["test_accuracy", repr(test_acc)])
+    write_table(path, ["factor", "importance"],
+                [[name, repr(importances[name])] for name in FACTORS]
+                + [["train_accuracy", repr(train_acc)], ["test_accuracy", repr(test_acc)]])

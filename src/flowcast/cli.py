@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import json
 import math
 import sys
@@ -23,6 +22,7 @@ import numpy as np
 from . import analysis, data, graph as graphmod, partition as partmod, training
 from .errors import ConfigError, DataError, FlowcastError, NumericalError
 from .model import FILTER_TYPES
+from .tables import read_table, write_table
 
 
 def _rule(convert, check, rule: str, unconvertible: str | None = None):
@@ -116,7 +116,7 @@ class PipelineConfig:
 def load_config(path: str, overrides: list[str]) -> PipelineConfig:
     """Read the file and the --set overrides, then parse every setting and
     apply the cross-key rules; any bad value is a ConfigError naming its key."""
-    parser, text = configparser.ConfigParser(), {}
+    parser, text = configparser.ConfigParser(interpolation=None), {}  # % is literal, as in --set
     try:
         if not parser.read(path):
             raise ConfigError(f"cannot read config file {path}")
@@ -293,14 +293,9 @@ def cmd_evaluate(config: PipelineConfig) -> None:
                 horizon_rows.append([sid, bundle.part_id, minutes]
                                     + [repr(float(v)) for v in mae[i]])
     feature_cols = [f"mae_{f}" for f in out_f]
-    with open(out_dir / "node_mae.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_id", "part"] + feature_cols)
-        writer.writerows(sorted(rows))
-    with open(out_dir / "horizon_mae.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_id", "part", "horizon_minutes"] + feature_cols)
-        writer.writerows(sorted(horizon_rows))
+    write_table(out_dir / "node_mae.csv", ["node_id", "part"] + feature_cols, sorted(rows))
+    write_table(out_dir / "horizon_mae.csv", ["node_id", "part", "horizon_minutes"] + feature_cols,
+                sorted(horizon_rows))
     primary = np.array([float(r[2]) for r in rows])
     _summary("evaluate", nodes=len(rows), mean_mae=float(primary.mean()),
              median_mae=float(np.median(primary)))
@@ -323,11 +318,8 @@ def cmd_forecast(config: PipelineConfig) -> None:
             sid = bundle.graph.sensor_ids[int(i)]
             for t in range(pred.shape[0]):
                 rows.append([sid, (t + 1) * 5] + [repr(float(v)) for v in pred[t, int(i)]])
-    with open(out_dir / "forecast.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_id", "minutes_ahead"]
-                        + list(checkpoints[0].output_features))
-        writer.writerows(sorted(rows))
+    write_table(out_dir / "forecast.csv",
+                ["node_id", "minutes_ahead"] + list(checkpoints[0].output_features), sorted(rows))
     _summary("forecast", nodes=len({r[0] for r in rows}),
              steps=checkpoints[0].config.horizon, file=str(out_dir / "forecast.csv"))
 
@@ -346,25 +338,23 @@ def cmd_analyze(config: PipelineConfig) -> None:
     cov, zero_mean = analysis.coefficient_of_variation(imputed, primary_feature)
     cov_by_id = {sid: float(cov[i]) for i, sid in enumerate(imputed.node_ids)}
     records = []
-    with open(mae_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        if next(reader, [])[:2] != ["node_id", "part"]:
-            raise DataError(f"{mae_path}: expected a header node_id,part,mae_...")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                sid, mae = row[0], float(row[2])
-            except (IndexError, ValueError):
-                mae = math.nan
-            if not 0.0 <= mae < math.inf:
-                raise DataError(f"{mae_path}: row {lineno}: expected node_id,part,finite MAE >= 0")
-            m, cov_value = meta.get(sid), cov_by_id.pop(sid, None)  # pop: one row per node
-            if m is None or cov_value is None:
-                raise DataError(f"{mae_path}: row {lineno}: node {sid} is repeated or "
-                                "lacks metadata or a series")
-            if np.isnan(cov_value):
-                continue  # zero-mean node: dispersion undefined, reported in summary
-            records.append(analysis.ErrorRecord.make(
-                sid, mae, cov_value, m.district, m.sensor_type, m.lane_type))
+    header = ["node_id", "part"] + [f"mae_{f}" for f in training.mode_features(mode)[1]]
+    for lineno, row in read_table(mae_path, header):
+        sid = row[0]
+        try:
+            mae = float(row[2])
+        except ValueError:
+            mae = math.nan
+        if not 0.0 <= mae < math.inf:
+            raise DataError(f"{mae_path}: row {lineno}: expected node_id,part,finite MAE >= 0")
+        m, cov_value = meta.get(sid), cov_by_id.pop(sid, None)  # pop: one row per node
+        if m is None or cov_value is None:
+            raise DataError(f"{mae_path}: row {lineno}: node {sid} is repeated or "
+                            "lacks metadata or a series")
+        if np.isnan(cov_value):
+            continue  # zero-mean node: dispersion undefined, reported in summary
+        records.append(analysis.ErrorRecord.make(
+            sid, mae, cov_value, m.district, m.sensor_type, m.lane_type))
     if not records:
         raise DataError("no nodes with a defined coefficient of variation")
     tree, train_acc, test_acc, importances = analysis.train_cart(

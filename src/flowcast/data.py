@@ -8,7 +8,6 @@ excluded from every statistic. Node order always matches the canonical
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -20,8 +19,10 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .graph import SensorMeta
+from .tables import read_table, write_table
 
 FEATURES = ("speed", "flow")
+TIMESERIES_HEADER = ["timestamp", "sensor_id", "speed", "flow"]
 TICK = np.timedelta64(300, "s")
 TICKS_PER_DAY = 288
 
@@ -87,42 +88,35 @@ def read_timeseries_csv(path) -> TimeSeriesPanel:
     cells: dict[tuple[int, str], tuple[float, float, bool, bool]] = {}
     seconds: dict[str, int] = {}  # raw timestamp -> epoch seconds, each spelling parsed once
     nodes: set[str] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["timestamp", "sensor_id", "speed", "flow"]:
-            raise DataError(f"{path}: expected header timestamp,sensor_id,speed,flow")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise DataError(f"{path}: row {lineno}: expected 4 fields")
-            ts, sid = row[0].strip(), row[1].strip()
-            sec = seconds.get(ts)
-            if sec is None:
-                try:
-                    stamp = np.datetime64(ts, "s")
-                except ValueError:
-                    stamp = np.datetime64("NaT")
-                if np.isnat(stamp):
-                    raise DataError(f"{path}: row {lineno}: bad timestamp {ts!r}")
-                sec = seconds[ts] = int(stamp.astype(np.int64))
-            vals, missing = [], []
-            for text in (row[2].strip(), row[3].strip()):
-                if text == "":
-                    vals.append(math.nan)
-                    missing.append(True)
-                    continue
-                try:
-                    value = float(text)
-                except ValueError:
-                    value = math.nan  # reported below, like nan and inf spelled out
-                if not math.isfinite(value):
-                    raise DataError(f"{path}: row {lineno}: bad value {text!r}")
-                vals.append(value)
-                missing.append(False)
-            if (sec, sid) in cells:  # keyed by instant, so two spellings of one tick collide
-                raise DataError(f"{path}: row {lineno}: duplicate observation for {sid} at {ts}")
-            cells[(sec, sid)] = (vals[0], vals[1], missing[0], missing[1])
-            nodes.add(sid)
+    for lineno, row in read_table(path, TIMESERIES_HEADER):
+        ts, sid = row[0].strip(), row[1].strip()
+        sec = seconds.get(ts)
+        if sec is None:
+            try:
+                stamp = np.datetime64(ts, "s")
+            except ValueError:
+                stamp = np.datetime64("NaT")
+            if np.isnat(stamp):
+                raise DataError(f"{path}: row {lineno}: bad timestamp {ts!r}")
+            sec = seconds[ts] = int(stamp.astype(np.int64))
+        vals, missing = [], []
+        for text in (row[2].strip(), row[3].strip()):
+            if text == "":
+                vals.append(math.nan)
+                missing.append(True)
+                continue
+            try:
+                value = float(text)
+            except ValueError:
+                value = math.nan  # reported below, like nan and inf spelled out
+            if not math.isfinite(value):
+                raise DataError(f"{path}: row {lineno}: bad value {text!r}")
+            vals.append(value)
+            missing.append(False)
+        if (sec, sid) in cells:  # keyed by instant, so two spellings of one tick collide
+            raise DataError(f"{path}: row {lineno}: duplicate observation for {sid} at {ts}")
+        cells[(sec, sid)] = (vals[0], vals[1], missing[0], missing[1])
+        nodes.add(sid)
     if not cells:
         raise DataError(f"{path}: no observations")
     tick = int(TICK / np.timedelta64(1, "s"))
@@ -146,15 +140,10 @@ def read_timeseries_csv(path) -> TimeSeriesPanel:
 
 
 def write_timeseries_csv(path, panel: TimeSeriesPanel) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "sensor_id", "speed", "flow"])
-        for ti, ts in enumerate(panel.timestamps):
-            for ni, sid in enumerate(panel.node_ids):
-                row = [str(ts), sid]
-                for fi in range(len(panel.feature_names)):
-                    row.append("" if panel.mask[ti, ni, fi] else repr(float(panel.values[ti, ni, fi])))
-                writer.writerow(row)
+    write_table(path, TIMESERIES_HEADER, (
+        [str(ts), sid] + ["" if panel.mask[ti, ni, fi] else repr(float(panel.values[ti, ni, fi]))
+                          for fi in range(len(panel.feature_names))]
+        for ti, ts in enumerate(panel.timestamps) for ni, sid in enumerate(panel.node_ids)))
 
 
 # ----------------------------------------------------------------------
@@ -468,15 +457,21 @@ def generate_synthetic(scenario: SyntheticScenario) -> tuple[list[SensorMeta], T
         raise DataError("invalid synthetic scenario dimensions")
     rng = np.random.default_rng(sc.seed)
     sizes = _cluster_sizes(sc.n_nodes, sc.clusters)
+    # Clusters stack northward from 37°N and wrap into a new column east of the
+    # widest cluster before passing 90°N (59 per column at the default spacing).
+    per_column = (int(53.0 // sc.cluster_spacing_deg) + 1 if sc.cluster_spacing_deg > 0
+                  else sc.clusters)
+    column_deg = sc.node_spacing_deg * max(sizes) + sc.cluster_spacing_deg
     meta = []
     node = 0
     for c, size in enumerate(sizes):
-        lat0 = 37.0 + sc.cluster_spacing_deg * c
+        lat0 = 37.0 + sc.cluster_spacing_deg * (c % per_column)
+        lon0 = -122.0 + column_deg * (c // per_column)
         for i in range(size):
             meta.append(SensorMeta(
                 sensor_id=f"S{node:04d}",
                 latitude=lat0,
-                longitude=-122.0 + sc.node_spacing_deg * i,
+                longitude=lon0 + sc.node_spacing_deg * i,
                 district=_DISTRICTS[c % len(_DISTRICTS)],
                 sensor_type=_SENSOR_TYPES[node % len(_SENSOR_TYPES)],
                 lane_type="hov" if node % 5 == 4 else "mainline",

@@ -8,7 +8,6 @@ weights are a pluggable driving-distance provider's d through exp(-(d/sigma)^2).
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import math
@@ -19,6 +18,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .sparse import CsrMatrix
+from .tables import read_table, write_table
 
 EARTH_RADIUS_MILES = 3958.7613
 
@@ -249,24 +249,17 @@ class TableDistances(DistanceProvider):
         """Load `from_id,to_id,miles` rows; ids must exist in the metadata."""
         index = {m.sensor_id: i for i, m in enumerate(canonical_order(meta))}
         table: dict[tuple[int, int], float] = {}
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["from_id", "to_id", "miles"]:
-                raise DataError(f"{path}: expected header from_id,to_id,miles")
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != 3:
-                    raise DataError(f"{path}: row {lineno}: expected 3 fields")
-                src, dst, miles = row[0].strip(), row[1].strip(), row[2].strip()
-                if src not in index or dst not in index:
-                    raise DataError(f"{path}: row {lineno}: unknown sensor id")
-                try:
-                    d = float(miles)
-                except ValueError:
-                    raise DataError(f"{path}: row {lineno}: bad miles value {miles!r}") from None
-                if d < 0 or not math.isfinite(d):
-                    raise DataError(f"{path}: row {lineno}: invalid distance {d}")
-                table[(index[src], index[dst])] = d
+        for lineno, row in read_table(path, ["from_id", "to_id", "miles"]):
+            src, dst, miles = row[0].strip(), row[1].strip(), row[2].strip()
+            if src not in index or dst not in index:
+                raise DataError(f"{path}: row {lineno}: unknown sensor id")
+            try:
+                d = float(miles)
+            except ValueError:
+                raise DataError(f"{path}: row {lineno}: bad miles value {miles!r}") from None
+            if d < 0 or not math.isfinite(d):
+                raise DataError(f"{path}: row {lineno}: invalid distance {d}")
+            table[(index[src], index[dst])] = d
         return cls(len(index), table)
 
 
@@ -452,34 +445,21 @@ def build_adjacency(meta: list[SensorMeta], pairs: set[tuple[int, int]], provide
 
 def read_metadata_csv(path) -> list[SensorMeta]:
     meta: list[SensorMeta] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty metadata file")
-        if [h.strip() for h in header] != METADATA_HEADER:
-            raise DataError(f"{path}: expected header {','.join(METADATA_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(METADATA_HEADER):
-                raise DataError(f"{path}: row {lineno}: expected {len(METADATA_HEADER)} fields")
-            try:
-                lat, lon = float(row[1]), float(row[2])
-            except ValueError:
-                raise DataError(f"{path}: row {lineno}: bad coordinates") from None
-            try:
-                meta.append(SensorMeta(row[0].strip(), lat, lon,
-                                       row[3].strip(), row[4].strip(), row[5].strip()))
-            except DataError as exc:
-                raise DataError(f"{path}: row {lineno}: {exc}") from None
+    for lineno, row in read_table(path, METADATA_HEADER):
+        try:
+            lat, lon = float(row[1]), float(row[2])
+        except ValueError:
+            raise DataError(f"{path}: row {lineno}: bad coordinates") from None
+        try:
+            meta.append(SensorMeta(row[0].strip(), lat, lon,
+                                   row[3].strip(), row[4].strip(), row[5].strip()))
+        except DataError as exc:
+            raise DataError(f"{path}: row {lineno}: {exc}") from None
     if not meta:
         raise DataError(f"{path}: no sensors listed")
     return meta
 
 
 def write_metadata_csv(path, meta: list[SensorMeta]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METADATA_HEADER)
-        for m in meta:
-            writer.writerow([m.sensor_id, repr(m.latitude), repr(m.longitude),
-                             m.district, m.sensor_type, m.lane_type])
+    write_table(path, METADATA_HEADER, ([m.sensor_id, repr(m.latitude), repr(m.longitude),
+                                         m.district, m.sensor_type, m.lane_type] for m in meta))

@@ -86,8 +86,9 @@ class Seq2SeqConfig:
     filter_type: str = "random_walk"
 
     def __post_init__(self):
-        if self.lookback < 1 or self.horizon < 1:
-            raise ValueError("lookback and horizon must be at least 1")
+        if min(self.lookback, self.horizon, self.layers, self.units, self.max_diffusion_steps) < 1:
+            raise ValueError("lookback, horizon, layers, units and max_diffusion_steps "
+                             "must be at least 1")
         if self.input_dim not in (1, 2) or self.output_dim not in (1, 2):
             raise ValueError("input and output dims are speed, flow, or both")
         if self.filter_type not in FILTER_TYPES:

@@ -18,7 +18,6 @@ routing providers still query every pair.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,6 +27,7 @@ import numpy as np
 from .errors import DataError
 from .graph import SensorGraph
 from .sparse import CsrMatrix
+from .tables import read_table, write_table
 
 _MAX_FM_PASSES = 12
 _FM_IDLE_MOVES = 128  # moves in a row with no new best prefix that end a pass
@@ -481,11 +481,8 @@ def extract_subgraphs(graph: SensorGraph, assignment: PartitionAssignment,
 
 
 def write_assignment_csv(path, graph: SensorGraph, assignment: PartitionAssignment) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sensor_id", "part"])
-        for i, sid in enumerate(graph.sensor_ids):
-            writer.writerow([sid, int(assignment.part_of[i])])
+    write_table(path, ["sensor_id", "part"],
+                ([sid, int(assignment.part_of[i])] for i, sid in enumerate(graph.sensor_ids)))
 
 
 def write_bundles(out_dir, bundles: list[SubgraphBundle]) -> None:
@@ -495,32 +492,20 @@ def write_bundles(out_dir, bundles: list[SubgraphBundle]) -> None:
         d = out / f"part{b.part_id:03d}"
         d.mkdir(exist_ok=True)
         b.graph.save(d / "graph.json")
-        with open(d / "nodes.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(NODES_HEADER)
-            for i in range(b.n_local):
-                writer.writerow([i, b.graph.sensor_ids[i], int(b.local_to_global[i]),
-                                 int(b.halo_flags[i])])
-        with open(d / "halos.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sensor_id", "global_index"])
-            for i in np.flatnonzero(b.halo_flags):
-                writer.writerow([b.graph.sensor_ids[int(i)], int(b.local_to_global[i])])
+        write_table(d / "nodes.csv", NODES_HEADER,
+                    ([i, b.graph.sensor_ids[i], int(b.local_to_global[i]), int(b.halo_flags[i])]
+                     for i in range(b.n_local)))
+        write_table(d / "halos.csv", ["sensor_id", "global_index"],
+                    ([b.graph.sensor_ids[int(i)], int(b.local_to_global[i])]
+                     for i in np.flatnonzero(b.halo_flags)))
 
 
 def _read_nodes_csv(path, n_local: int) -> tuple[list[int], list[bool]]:
     """(local_to_global, halo_flags) of a bundle's nodes.csv; malformed rows raise DataError."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != NODES_HEADER:
-        raise DataError(f"{path}: expected header {','.join(NODES_HEADER)}")
-    if len(rows) - 1 != n_local:
-        raise DataError(f"{path}: {len(rows) - 1} rows for a bundle graph of {n_local} nodes")
     l2g, flags = [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(NODES_HEADER) or row[3] not in ("0", "1"):
-            raise DataError(f"{path}: row {lineno}: expected {len(NODES_HEADER)} fields "
-                            f"with is_halo 0 or 1")
+    for lineno, row in read_table(path, NODES_HEADER):
+        if row[3] not in ("0", "1"):
+            raise DataError(f"{path}: row {lineno}: expected is_halo 0 or 1")
         try:
             local, global_index = int(row[0]), int(row[2])
         except ValueError:
@@ -529,6 +514,8 @@ def _read_nodes_csv(path, n_local: int) -> tuple[list[int], list[bool]]:
             raise DataError(f"{path}: row {lineno}: bad local or global index")
         l2g.append(global_index)
         flags.append(row[3] == "1")
+    if len(l2g) != n_local:
+        raise DataError(f"{path}: {len(l2g)} rows for a bundle graph of {n_local} nodes")
     return l2g, flags
 
 

@@ -29,6 +29,7 @@ from .model import (DcgruParams, DiffusionSupports, Seq2SeqConfig, build_support
 from .optim import AdamState, adam_step, clip_by_global_norm
 from .partition import SubgraphBundle
 from .sparse import CsrMatrix
+from .tables import write_table
 
 _EVAL_BATCH = 256  # windows per inference batch in evaluate()
 MODE_FEATURES = {"speed_only": ("speed",), "flow_only": ("flow",),
@@ -168,7 +169,14 @@ class Checkpoint:
         if meta.get("format") != "flowcast-checkpoint-v1":
             raise DataError(f"{path}: not a flowcast checkpoint")
         try:
+            config = Seq2SeqConfig(**meta["config"])
             params = [arrays[f"p{i:04d}"] for i in range(len(meta["param_names"]))]
+            expected = [(n, t.value.shape) for n, t in init_params(config, seed=0).named()]
+            if [(n, p.shape) for n, p in zip(meta["param_names"], params)] != expected:
+                raise DataError(f"{path}: parameter names or shapes do not match the config")
+            if meta["n_supports"] != config.n_supports:
+                raise DataError(f"{path}: {meta['n_supports']} supports, the config's filter "
+                                f"takes {config.n_supports}")
             sensor_ids = list(meta["sensor_ids"])
             supports = []
             for i in range(meta["n_supports"]):
@@ -184,7 +192,9 @@ class Checkpoint:
             scaler = FeatureScaler(np.asarray(meta["scaler"]["means"]),
                                    np.asarray(meta["scaler"]["stds"]),
                                    tuple(meta["scaler"]["feature_names"]))
-            return cls(Seq2SeqConfig(**meta["config"]), list(meta["param_names"]), params,
+            if not scaler.means.shape == scaler.stds.shape == (len(scaler.feature_names),):
+                raise DataError(f"{path}: scaler means and stds are not one per feature")
+            return cls(config, list(meta["param_names"]), params,
                        scaler, sensor_ids, halo, supports,
                        tuple(meta["input_features"]), tuple(meta["output_features"]),
                        int(meta["part_id"]), int(meta["trained_iterations"]))
@@ -367,18 +377,11 @@ def aggregate_training_summary(results: list[PartitionResult]) -> dict:
 
 
 def write_report_csv(path, results: list[PartitionResult]) -> None:
-    import csv as _csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["partition", "epoch", "train_loss", "valid_loss", "lr",
-                         "epsilon", "seconds"])
-        for r in results:
-            if not r.ok:
-                continue
-            for e in r.report.epochs:
-                writer.writerow([r.part_id, e.epoch, repr(e.train_loss), repr(e.valid_loss),
-                                 repr(e.lr), repr(e.epsilon), repr(e.seconds)])
+    write_table(path, ["partition", "epoch", "train_loss", "valid_loss", "lr", "epsilon",
+                       "seconds"],
+                ([r.part_id, e.epoch, repr(e.train_loss), repr(e.valid_loss), repr(e.lr),
+                  repr(e.epsilon), repr(e.seconds)]
+                 for r in results if r.ok for e in r.report.epochs))
 
 
 def write_training_summary(path, results: list[PartitionResult]) -> None:

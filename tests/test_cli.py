@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from flowcast import cli
 from flowcast.cli import PipelineConfig, load_config, main
 from flowcast.errors import ConfigError
+from flowcast.graph import read_metadata_csv
+from flowcast.tables import read_table
 
 CONFIG_TEMPLATE = """
 [paths]
@@ -304,13 +306,25 @@ def test_inconsistent_settings_exit_2_before_reading_files(capsys, tmp_path, set
 @pytest.mark.parametrize("text", [
     b"k_nn = 3\n",  # no section header
     b"[graph]\nk_nn = 3\nk_nn = 4\n",  # a key given twice
-    b"[graph]\nrouting_url = http://host/%zz\n",  # a bare % is interpolation syntax
     b"[graph]\nk_nn = \xff\n",  # not UTF-8
 ])
 def test_unparsable_config_file_exits_2(capsys, tmp_path, text):
     (tmp_path / "config.ini").write_bytes(text)
     code = main(["synth", "--config", str(tmp_path / "config.ini")])
     _assert_config_error_before_files(capsys, tmp_path, code, "config.ini")
+
+
+@pytest.mark.parametrize("setting", ["graph.routing_url=http://h/a%20b", "paths.output_dir=out%%x",
+                                     "paths.output_dir=%(metadata)s"])
+def test_config_file_and_set_read_a_value_alike(tmp_path, setting):
+    target, value = setting.split("=", 1)
+    section, key = target.split(".")
+    (tmp_path / "config.ini").write_text(f"[{section}]\n{key} = {value}\n")
+    from_file = load_config(str(tmp_path / "config.ini"), [])
+    (tmp_path / "empty.ini").write_text("")
+    from_set = load_config(str(tmp_path / "empty.ini"), [setting])
+    assert from_file.values == from_set.values
+    assert from_file.values[section][key] == value
 
 
 @settings(max_examples=300, deadline=None)
@@ -343,7 +357,8 @@ def test_readme_config_reference_matches_settings():
 
 
 @pytest.mark.parametrize("fault", ["non_numeric_mae", "short_row", "empty_file", "nan_mae",
-                                   "sensor_missing_from_series", "repeated_node"])
+                                   "sensor_missing_from_series", "repeated_node",
+                                   "multioutput_header_under_flow_only"])
 def test_corrupt_node_mae_exits_3(trained, capsys, tmp_path, fault):
     root, config = trained
     out_dir = tmp_path / "out"
@@ -358,18 +373,23 @@ def test_corrupt_node_mae_exits_3(trained, capsys, tmp_path, fault):
         rows[3] = "S0002,0,nan"
     elif fault == "repeated_node":  # exited 0, counting the node twice
         rows[3] = "S0001,0,1.5"
+    elif fault == "multioutput_header_under_flow_only":  # exited 0, reading mae_speed as flow's
+        rows = ["node_id,part,mae_speed,mae_flow"] + [f"{r},2.5" for r in rows[1:]]
     elif fault == "sensor_missing_from_series":
         series = tmp_path / "series.csv"
         lines = (root / "timeseries.csv").read_text().splitlines(keepends=True)
         series.write_text("".join(line for line in lines if ",S0011," not in line))
     (out_dir / "node_mae.csv").write_text("" if fault == "empty_file" else "\n".join(rows) + "\n")
+    mode = "flow_only" if fault == "multioutput_header_under_flow_only" else "speed_only"
     code = main(["analyze", "--config", config, "--set", f"paths.output_dir={out_dir}",
-                 "--set", f"paths.timeseries={series}"])
+                 "--set", f"paths.timeseries={series}", "--set", f"model.mode={mode}"])
     lines = capsys.readouterr().out.strip().splitlines()
     assert code == 3 and len(lines) == 1
     out = json.loads(lines[0])
     named = {"empty_file": "header", "sensor_missing_from_series": "node S0011",
-             "repeated_node": "node S0001"}.get(fault, "row 4")
+             "repeated_node": "node S0001",
+             "multioutput_header_under_flow_only": "header node_id,part,mae_flow",
+             }.get(fault, "row 4")
     assert out["kind"] == "data" and "node_mae.csv" in out["message"] and named in out["message"]
 
 
@@ -422,7 +442,11 @@ def test_out_of_range_settings_exit_2(trained, capsys, tmp_path, command, key, v
 @pytest.mark.parametrize("corruption", ["missing_array", "index_out_of_range",
                                         "wrong_sized_support", "short_halo_flags",
                                         "unknown_config_key", "cut 8 bytes",
-                                        "first 12 bytes only"])
+                                        "first 12 bytes only", "config units=8",
+                                        "config input_dim=2", "config units=0",
+                                        "config layers=0", "config max_diffusion_steps=0",
+                                        "p0001 1-d", "p0000 transposed", "n_supports 0",
+                                        "one scaler mean"])
 def test_corrupt_checkpoint_exits_3(trained, capsys, tmp_path, corruption):
     root, config = trained
     import shutil
@@ -442,6 +466,17 @@ def test_corrupt_checkpoint_exits_3(trained, capsys, tmp_path, corruption):
         arrays["halo_flags"] = arrays["halo_flags"][:-1]
     elif corruption == "unknown_config_key":
         meta["config"]["bogus"] = 1
+    elif corruption.startswith("config "):  # a config that the stored parameters do not fit
+        key, value = corruption[len("config "):].split("=")
+        meta["config"][key] = int(value)
+    elif corruption == "p0001 1-d":
+        arrays["p0001"] = arrays["p0001"].ravel()
+    elif corruption == "p0000 transposed":
+        arrays["p0000"] = np.ascontiguousarray(arrays["p0000"].T)
+    elif corruption == "n_supports 0":
+        meta["n_supports"] = 0
+    elif corruption == "one scaler mean":  # exited 0, scaling by the wrong mean
+        meta["scaler"]["means"] = meta["scaler"]["means"][:1]
     elif corruption == "wrong_sized_support":  # well-formed, one node short of the sensors
         n = int(arrays["s0_shape"][0])
         s = CsrMatrix(n, n, arrays["s0_indptr"], arrays["s0_indices"], arrays["s0_data"])
@@ -521,6 +556,49 @@ def test_corrupt_bundle_nodes_exits_3(trained, capsys, tmp_path, corruption):
     out = json.loads(lines[0])
     named = "part_old" if corruption == "stray_directory" else "nodes.csv"
     assert out["kind"] == "data" and named in out["message"]
+
+
+def test_synth_places_64_clusters(capsys, tmp_path):
+    root, config = _write_config(tmp_path)
+    summary = run_ok(capsys, "synth", "--config", config, "--set", "synth.nodes=200",
+                     "--set", "synth.clusters=64", "--set", "synth.days=1")
+    assert summary["nodes"] == 200
+    meta = read_metadata_csv(root / "sensors.csv")
+    assert len({(m.latitude, m.longitude) for m in meta}) == 200
+
+
+# Every table a speed_only pipeline writes, with the header its writer gives it.
+WRITTEN_TABLES = {
+    "sensors.csv": "sensor_id,latitude,longitude,district,sensor_type,lane_type",
+    "timeseries.csv": "timestamp,sensor_id,speed,flow",
+    "out/assignment.csv": "sensor_id,part",
+    "out/bundles/part000/nodes.csv": "local_index,sensor_id,global_index,is_halo",
+    "out/bundles/part001/nodes.csv": "local_index,sensor_id,global_index,is_halo",
+    "out/bundles/part000/halos.csv": "sensor_id,global_index",
+    "out/bundles/part001/halos.csv": "sensor_id,global_index",
+    "out/training_epochs.csv": "partition,epoch,train_loss,valid_loss,lr,epsilon,seconds",
+    "out/node_mae.csv": "node_id,part,mae_speed",
+    "out/horizon_mae.csv": "node_id,part,horizon_minutes,mae_speed",
+    "out/forecast.csv": "node_id,minutes_ahead,speed",
+    "out/error_records.csv": "node_id,mae,mae_class,cov,district,sensor_type,lane_type",
+    "out/cart_importances.csv": "factor,importance",
+    "out/mae_box_stats.csv": "q1,median,q3,whisker_low,whisker_high,outliers",
+}
+
+
+def test_every_written_table_reads_back(trained, capsys, tmp_path):
+    root, config = trained
+    import shutil
+
+    run = tmp_path / "run"
+    shutil.copytree(root, run)
+    for command in ("evaluate", "forecast", "analyze"):
+        run_ok(capsys, command, "--config", config, "--set", f"paths.output_dir={run / 'out'}")
+    written = {str(p.relative_to(run)) for p in run.rglob("*.csv")}
+    assert written == set(WRITTEN_TABLES)
+    for name, header in WRITTEN_TABLES.items():
+        numbers = [lineno for lineno, _ in read_table(run / name, header.split(","))]
+        assert numbers == list(range(2, len(numbers) + 2)) and numbers, name
 
 
 def test_data_errors_exit_3(pipeline, capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Panels: ingestion, imputation, splitting, scaling, windowing, synthesis."""
 
+import hashlib
 import re
 
 import numpy as np
@@ -13,7 +14,7 @@ from flowcast.data import (FEATURES, TICK, SyntheticScenario, TimeSeriesPanel,
 from flowcast.errors import DataError, NumericalError
 from flowcast.partition import PartitionAssignment, extract_subgraphs
 from flowcast.sparse import CsrMatrix
-from flowcast.graph import SensorGraph
+from flowcast.graph import SensorGraph, write_metadata_csv
 
 
 def make_panel(values, start="2024-01-01", node_ids=None, mask=None, features=FEATURES):
@@ -416,6 +417,24 @@ def test_synthetic_follows_triangular_relation_in_core():
     flow = panel.values[core, :, 1]
     assert (speed < sc.free_flow_mph).all()
     assert np.abs(flow - sc.congested_flow_for_speed(speed)).max() <= 1e-9
+
+
+@pytest.mark.parametrize("nodes, clusters, days, metadata_sha, series_sha", [
+    (12, 2, 2, "02675a8197e2539c450c099bf101b91c8a8602ad0a8e3c8d5c259e6e120572f1",
+     "657b54ee5c01f2425386dbf2a8ac32c08ca1767cbe08e6c91acace7265fbaef3"),
+    (59, 59, 1, "286e05fb9dc3cba78bb3653f15a8f57c01423e0836da7feed4f0bff91309e7a1",
+     "ea09f67ca61dfd629c525b38f26037ed8aabe87b01dcc2f78eb7a9a9cb5b3030"),
+])
+def test_synthetic_scenarios_keep_their_bytes(tmp_path, nodes, clusters, days, metadata_sha,
+                                              series_sha):
+    """Up to 59 clusters, the lattice that wraps clusters into columns places
+    every sensor where the single-column generator did."""
+    meta, panel = generate_synthetic(SyntheticScenario(n_nodes=nodes, clusters=clusters,
+                                                       days=days))
+    write_metadata_csv(tmp_path / "sensors.csv", meta)
+    write_timeseries_csv(tmp_path / "timeseries.csv", panel)
+    assert hashlib.sha256((tmp_path / "sensors.csv").read_bytes()).hexdigest() == metadata_sha
+    assert hashlib.sha256((tmp_path / "timeseries.csv").read_bytes()).hexdigest() == series_sha
 
 
 def test_synthetic_clusters_are_far_apart():

@@ -81,3 +81,20 @@ def test_every_public_name_is_referenced_outside_tests():
 def test_allowlist_names_exist():
     qualified = {q for q, _ in _public_surface()}
     assert set(ALLOWED) <= qualified, sorted(set(ALLOWED) - qualified)
+
+
+def test_only_the_tables_module_imports_csv():
+    """The CSV format lives in `flowcast.tables`; every other module reads and
+    writes tables through `read_table` and `write_table`."""
+    importers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if "csv" in (m.split(".")[0] for m in modules) and path.name != "tables.py":
+                importers.append(path.name)
+    assert not importers, f"modules importing csv besides tables.py: {importers}"
