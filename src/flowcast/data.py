@@ -16,10 +16,11 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, NumericalError
 from .graph import SensorMeta
-from .tables import read_table, write_table
+from .tables import LINE_END, field, read_blocks, write_lines
 
 FEATURES = ("speed", "flow")
 TIMESERIES_HEADER = ["timestamp", "sensor_id", "speed", "flow"]
@@ -85,65 +86,172 @@ class TimeSeriesPanel:
 
 
 def read_timeseries_csv(path) -> TimeSeriesPanel:
-    cells: dict[tuple[int, str], tuple[float, float, bool, bool]] = {}
-    seconds: dict[str, int] = {}  # raw timestamp -> epoch seconds, each spelling parsed once
-    nodes: set[str] = set()
-    for lineno, row in read_table(path, TIMESERIES_HEADER):
-        ts, sid = row[0].strip(), row[1].strip()
-        sec = seconds.get(ts)
-        if sec is None:
+    """The panel of a long-format CSV, in memory that grows with the panel.
+
+    Each block of rows becomes stamp codes, node codes and values (NaN where
+    missing); once every row has passed, they fill the preallocated panel.
+    The earliest bad row is reported: within a row its timestamp, then speed,
+    then flow, then whether its (instant, sensor) pair came before. Only then
+    come an empty file and a timestamp off the 5-minute grid."""
+    stamp_code: dict[str, int] = {}  # spelling, raw or stripped -> index in `spellings`
+    spellings: list[str] = []  # stripped, in order of first appearance
+    seconds: list[int] = []  # epoch seconds of each spelling
+    node_code: dict[str, int] = {}  # sensor id, raw or stripped -> index in `sensors`
+    sensors: list[str] = []
+
+    def new_stamps(column) -> bool:
+        """Code every unseen spelling in `column`; False at one that does not parse."""
+        for raw in [r for r in dict.fromkeys(column) if r not in stamp_code]:
+            ts = raw.strip()
+            if ts not in stamp_code:
+                sec = _epoch_seconds(ts)
+                if sec is None:
+                    return False
+                stamp_code[ts] = len(spellings)
+                spellings.append(ts)
+                seconds.append(sec)
+            stamp_code[raw] = stamp_code[ts]
+        return True
+
+    def parse(columns):
+        """(stamp codes, node codes, values) of a block; ValueError at a bad row."""
+        ts_col, sid_col, *value_cols = columns
+        n = len(ts_col)
+        if not new_stamps(ts_col):
+            raise ValueError("bad timestamp")
+        for raw in [r for r in dict.fromkeys(sid_col) if r not in node_code]:
+            sid = raw.strip()
+            node_code[raw] = node_code.setdefault(sid, len(sensors))
+            if node_code[sid] == len(sensors):
+                sensors.append(sid)
+        values = np.full((n, len(value_cols)), math.nan)
+        for j, column in enumerate(value_cols):
+            present = slice(None)
+            if "" in column or any(map(str.isspace, column)):  # some values missing
+                column = list(map(str.strip, column))
+                present = np.fromiter(map(bool, column), bool, n)
+            parsed = np.fromiter(map(float, filter(None, column)), np.float64)
+            if not np.isfinite(parsed).all():
+                raise ValueError("bad value")
+            values[present, j] = parsed
+        return (np.fromiter(map(stamp_code.__getitem__, ts_col), np.int32, n),
+                np.fromiter(map(node_code.__getitem__, sid_col), np.int32, n), values)
+
+    def first_bad(rows, first) -> tuple[int, str]:
+        """Index and message of the first bad row, checked field by field."""
+        for i, row in enumerate(rows):
+            if not new_stamps([row[0]]):
+                return i, f"row {first + i}: bad timestamp {row[0].strip()!r}"
+            for text in map(str.strip, row[2:]):
+                try:
+                    bad = text != "" and not math.isfinite(float(text))
+                except ValueError:
+                    bad = True
+                if bad:
+                    return i, f"row {first + i}: bad value {text!r}"
+        raise AssertionError("parse rejected a block without a bad row")
+
+    blocks, error = [], None
+    try:
+        for first, columns in read_blocks(path, TIMESERIES_HEADER):
             try:
-                stamp = np.datetime64(ts, "s")
+                blocks.append(parse(columns))
             except ValueError:
-                stamp = np.datetime64("NaT")
-            if np.isnat(stamp):
-                raise DataError(f"{path}: row {lineno}: bad timestamp {ts!r}")
-            sec = seconds[ts] = int(stamp.astype(np.int64))
-        vals, missing = [], []
-        for text in (row[2].strip(), row[3].strip()):
-            if text == "":
-                vals.append(math.nan)
-                missing.append(True)
-                continue
-            try:
-                value = float(text)
-            except ValueError:
-                value = math.nan  # reported below, like nan and inf spelled out
-            if not math.isfinite(value):
-                raise DataError(f"{path}: row {lineno}: bad value {text!r}")
-            vals.append(value)
-            missing.append(False)
-        if (sec, sid) in cells:  # keyed by instant, so two spellings of one tick collide
-            raise DataError(f"{path}: row {lineno}: duplicate observation for {sid} at {ts}")
-        cells[(sec, sid)] = (vals[0], vals[1], missing[0], missing[1])
-        nodes.add(sid)
-    if not cells:
+                bad, problem = first_bad(list(zip(*columns)), first)
+                if bad:
+                    blocks.append(parse([c[:bad] for c in columns]))
+                error = DataError(f"{path}: {problem}")
+                break
+    except DataError as exc:  # from the table: the header, a field count, the encoding
+        error = exc
+    secs = np.asarray(seconds, dtype=np.int64)
+    row = _first_repeat(blocks, secs, len(sensors)) if blocks else None
+    if row is not None:  # an index among the kept rows, which run in file order from row 2
+        stamp, node = (np.concatenate([b[k] for b in blocks])[row] for k in (0, 1))
+        raise DataError(f"{path}: row {row + 2}: duplicate observation for "
+                        f"{sensors[node]} at {spellings[stamp]}")
+    if error is not None:
+        raise error
+    if not blocks:
         raise DataError(f"{path}: no observations")
     tick = int(TICK / np.timedelta64(1, "s"))
-    lo, hi = min(seconds.values()), max(seconds.values())
-    for ts, sec in seconds.items():
-        if (sec - lo) % tick:
-            raise DataError(f"{path}: timestamp {ts} is off the 5-minute grid")
+    lo, hi = int(secs.min()), int(secs.max())
+    off = (secs - lo) % tick != 0
+    if off.any():
+        raise DataError(f"{path}: timestamp {spellings[int(np.argmax(off))]} "
+                        "is off the 5-minute grid")
     grid = np.arange(lo, hi + tick, tick).astype("datetime64[s]")
-    node_ids = sorted(nodes)
-    node_index = {s: i for i, s in enumerate(node_ids)}
-    t, n = len(grid), len(node_ids)
-    values = np.full((t, n, 2), math.nan)
-    mask = np.ones((t, n, 2), dtype=bool)
-    for (sec, sid), (speed, flow, m_sp, m_fl) in cells.items():
-        ti = (sec - lo) // tick
-        ni = node_index[sid]
-        values[ti, ni, 0], values[ti, ni, 1] = speed, flow
-        mask[ti, ni, 0], mask[ti, ni, 1] = m_sp, m_fl
-    values[mask] = math.nan
-    return TimeSeriesPanel(grid, node_ids, values, mask)
+    node_ids = sorted(sensors)
+    column = {s: i for i, s in enumerate(node_ids)}
+    node_column = np.array([column[s] for s in sensors], dtype=np.int64)
+    tick_row = (secs - lo) // tick
+    values = np.full((len(grid), len(node_ids), len(FEATURES)), math.nan)
+    cells = values.reshape(-1, len(FEATURES))
+    blocks.reverse()
+    while blocks:  # each block is freed once placed
+        stamp, node, block_values = blocks.pop()
+        cells[tick_row[stamp] * len(node_ids) + node_column[node]] = block_values
+    return TimeSeriesPanel(grid, node_ids, values, np.isnan(values))
+
+
+def _epoch_seconds(ts: str) -> int | None:
+    """Seconds since the epoch of an ISO-8601 stamp; None if it names no instant."""
+    try:
+        stamp = np.datetime64(ts, "s")
+    except ValueError:
+        return None
+    return None if np.isnat(stamp) else int(stamp.astype(np.int64))
+
+
+def _first_repeat(blocks, seconds: np.ndarray, n_nodes: int) -> int | None:
+    """Index of the first row of `blocks` whose (instant, sensor) pair an
+    earlier row has, or None. Keyed by instant, so two spellings of one tick
+    collide."""
+    instant = np.unique(seconds, return_inverse=True)[1]
+
+    def keys() -> np.ndarray:
+        out, lo = np.empty(sum(b[0].size for b in blocks), dtype=np.int64), 0
+        for stamp, node, _ in blocks:
+            out[lo:lo + stamp.size] = instant[stamp] * n_nodes + node
+            lo += stamp.size
+        return out
+
+    ordered = keys()
+    ordered.sort()  # in place: a second array of keys only when a pair repeats
+    if not (ordered[1:] == ordered[:-1]).any():
+        return None
+    unordered = keys()
+    order = np.argsort(unordered, kind="stable")
+    return int(order[1:][unordered[order[1:]] == unordered[order[:-1]]].min())
+
+
+_WRITE_ROWS = 1 << 14  # rows formatted per write, in whole ticks
 
 
 def write_timeseries_csv(path, panel: TimeSeriesPanel) -> None:
-    write_table(path, TIMESERIES_HEADER, (
-        [str(ts), sid] + ["" if panel.mask[ti, ni, fi] else repr(float(panel.values[ti, ni, fi]))
-                          for fi in range(len(panel.feature_names))]
-        for ti, ts in enumerate(panel.timestamps) for ni, sid in enumerate(panel.node_ids)))
+    """One row per (tick, node) in panel order: each value as repr(float),
+    a masked one as an empty field. A block of ticks at a time is formatted
+    with one repr of its values."""
+    t, n, f = panel.values.shape
+    ticks = max(1, _WRITE_ROWS // max(n, 1))
+    ids = np.array([field(sid) + "," for sid in panel.node_ids], dtype=object)
+    ends = [","] * (f - 1) + [LINE_END]
+
+    def blocks():
+        for lo in range(0, t if n else 0, ticks):
+            hi = min(lo + ticks, t)
+            text = repr(panel.values[lo:hi].ravel().tolist())[1:-1].split(", ")
+            text = np.array(text, dtype=object).reshape(hi - lo, n, f)
+            text[panel.mask[lo:hi]] = ""
+            row = np.empty((hi - lo, n, 2 + 2 * f), dtype=object)
+            row[:, :, 0] = np.array([f"{ts}," for ts in panel.timestamps[lo:hi]],
+                                    dtype=object)[:, None]
+            row[:, :, 1] = ids
+            row[:, :, 2::2] = text
+            row[:, :, 3::2] = ends
+            yield "".join(row.ravel().tolist())
+
+    write_lines(path, TIMESERIES_HEADER, blocks())
 
 
 # ----------------------------------------------------------------------
@@ -349,8 +457,8 @@ def _feature_indices(names: tuple[str, ...], features) -> np.ndarray:
 
 @dataclass
 class WindowedDataset:
-    x: np.ndarray  # [samples, lookback, nodes, P]
-    y: np.ndarray  # [samples, horizon, nodes, Q]
+    x: np.ndarray  # [samples, lookback, nodes, P], read-only
+    y: np.ndarray  # [samples, horizon, nodes, Q], read-only
     starts: np.ndarray
     input_features: tuple[str, ...]
     output_features: tuple[str, ...]
@@ -362,7 +470,10 @@ class WindowedDataset:
 
 def make_windows(panel: TimeSeriesPanel, lookback: int = 12, horizon: int = 12,
                  stride: int = 1, input_features=None, output_features=None) -> WindowedDataset:
-    """Sliding (lookback, horizon) windows; sample i covers ticks [i, i+lookback+horizon)."""
+    """Sliding (lookback, horizon) windows; sample i covers ticks [i, i+lookback+horizon).
+
+    x and y are read-only views of the panel's values, not copies; features
+    picked in other than ascending, evenly spaced order are copied once."""
     if panel.mask.any():
         raise DataError("panel still has missing entries; impute before windowing")
     span = lookback + horizon
@@ -370,12 +481,18 @@ def make_windows(panel: TimeSeriesPanel, lookback: int = 12, horizon: int = 12,
         raise DataError(f"panel has {panel.n_ticks} ticks, need at least {span}")
     in_names = tuple(input_features) if input_features else tuple(panel.feature_names)
     out_names = tuple(output_features) if output_features else tuple(panel.feature_names)
-    in_idx = _feature_indices(tuple(panel.feature_names), in_names)
-    out_idx = _feature_indices(tuple(panel.feature_names), out_names)
     starts = np.arange(0, panel.n_ticks - span + 1, stride, dtype=np.int64)
-    x = np.stack([panel.values[s:s + lookback][:, :, in_idx] for s in starts])
-    y = np.stack([panel.values[s + lookback:s + span][:, :, out_idx] for s in starts])
-    return WindowedDataset(x, y, starts, in_names, out_names)
+
+    def windows(names, offset: int, length: int) -> np.ndarray:
+        idx = _feature_indices(tuple(panel.feature_names), names)
+        step = int(idx[1] - idx[0]) if idx.size > 1 else 1
+        if step > 0 and np.array_equal(idx, idx[0] + step * np.arange(idx.size)):
+            idx = slice(int(idx[0]), int(idx[-1]) + 1, step)  # a view, not a copy
+        view = sliding_window_view(panel.values[offset:, :, idx], length, axis=0)
+        return np.moveaxis(view, -1, 1)[::stride][:starts.size]
+
+    return WindowedDataset(windows(in_names, 0, lookback), windows(out_names, lookback, horizon),
+                           starts, in_names, out_names)
 
 
 def slice_for_partition(panel: TimeSeriesPanel, bundle) -> TimeSeriesPanel:

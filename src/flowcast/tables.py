@@ -1,13 +1,19 @@
 """The CSV tables the pipeline passes between stages: UTF-8, one header row.
 
-Every module reads and writes its tables through these two functions, so the
-format, the header check, the field count and the row numbering in error
-messages live in one place.
+Every module reads and writes its tables through this module, so the format,
+the header check, the field count and the row numbering in error messages
+live in one place. Rows end in CRLF, as `csv.writer` ends them.
 """
 
 import csv
+import io
+from itertools import chain, repeat
 
 from .errors import DataError
+
+LINE_END = "\r\n"
+_BLOCK_CHARS = 1 << 20  # characters per block of lines that read_blocks splits at commas
+_BLOCK_ROWS = 1 << 14  # rows per block that read_blocks yields from csv
 
 
 def write_table(path, header, rows) -> None:
@@ -18,16 +24,72 @@ def write_table(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def read_table(path, header):
-    """Yield (row number, fields) for each data row; the first data row is 2.
+def write_lines(path, header, blocks) -> None:
+    """Write the header as write_table does, then each string of `blocks`:
+    whole rows already formatted, their text fields through `field`, each
+    ended by LINE_END."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        fh.writelines(blocks)
 
-    The file's header fields, stripped, must equal `header`, and every row must
-    have as many fields; otherwise DataError names the path and the row."""
+
+def field(text: str) -> str:
+    """`text` as write_table writes it as one field of a row: quoted, with
+    quotes doubled, only where `csv.writer` quotes it."""
+    out = io.StringIO()
+    csv.writer(out).writerow([text, ""])  # a second field: a lone "" is quoted
+    return out.getvalue()[:-len("," + LINE_END)]
+
+
+def read_blocks(path, header):
+    """Yield (number of the first row, columns) for consecutive blocks of data
+    rows: columns[j] holds field j of each row, and the first data row is 2.
+
+    The file's header fields, stripped, must equal `header`, and every row
+    must have as many fields. A row that breaks this, a field longer than
+    `csv.field_size_limit()` or text that is not UTF-8 raises DataError naming
+    the path and, where known, the row; the rows before it come first, as the
+    last block. Blocks of lines without quotes, NULs, blank or overlong lines
+    are split at commas, as csv would split them; from the first other block
+    on, csv parses the rest of the file."""
+    width = len(header)
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        if [h.strip() for h in next(reader, [])] != header:
-            raise DataError(f"{path}: expected header {','.join(header)}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(f"{path}: row {lineno}: expected {len(header)} fields")
-            yield lineno, row
+        first, rows, problem = 1, [], None
+        try:
+            if [h.strip() for h in next(csv.reader(fh), [])] != header:
+                raise DataError(f"{path}: expected header {','.join(header)}")
+            first = 2
+            while lines := fh.readlines(_BLOCK_CHARS):
+                bodies = list(map(str.rstrip, lines, repeat("\r\n")))
+                text = ",".join(bodies)
+                if ('"' in text or "\0" in text or "" in bodies
+                        or max(map(len, bodies)) > csv.field_size_limit()
+                        or set(map(str.count, bodies, repeat(","))) != {width - 1}):
+                    break
+                fields = text.split(",")
+                yield first, [fields[j::width] for j in range(width)]
+                first += len(lines)
+            for row in csv.reader(chain(lines, fh)):
+                if len(row) != width:
+                    problem = f"row {first + len(rows)}: expected {width} fields"
+                    break
+                rows.append(row)
+                if len(rows) == _BLOCK_ROWS:
+                    yield first, list(zip(*rows))
+                    rows, first = [], first + _BLOCK_ROWS
+        except csv.Error as exc:
+            problem = f"row {first + len(rows)}: {exc}"
+        except UnicodeDecodeError as exc:
+            # decoded ahead of the parser, a block of bytes at a time
+            problem = f"not UTF-8 text ({exc.reason})"
+        if rows:
+            yield first, list(zip(*rows))
+        if problem:
+            raise DataError(f"{path}: {problem}")
+
+
+def read_table(path, header):
+    """Yield (row number, fields) for each data row of read_blocks, which
+    checks the header and each row."""
+    for first, columns in read_blocks(path, header):
+        yield from enumerate(zip(*columns), start=first)

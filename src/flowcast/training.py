@@ -355,13 +355,24 @@ def train_all(bundles: list[SubgraphBundle], train_panel: TimeSeriesPanel,
 
     Results are deterministic and identical across worker counts because each
     partition's work is a pure function of its own inputs and derived seed.
+    Each task carries only its bundle's columns of the two panels.
     """
-    tasks = [(b, train_panel, valid_panel, config, mode, lookback, horizon)
-             for b in bundles]
-    if workers <= 1 or len(bundles) <= 1:
-        return [_train_task(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_train_task, tasks))
+    tasks, results = [], []
+    for b in bundles:
+        try:
+            local = (slice_for_partition(train_panel, b), slice_for_partition(valid_panel, b))
+        except DataError as exc:  # a failure of this partition alone, as in training
+            results.append(PartitionResult(b.part_id, error=str(exc)))
+            continue
+        tasks.append((b, *local, config, mode, lookback, horizon))
+        results.append(None)
+    if workers <= 1 or len(tasks) <= 1:
+        trained = [_train_task(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            trained = list(pool.map(_train_task, tasks))
+    trained = iter(trained)
+    return [r or next(trained) for r in results]
 
 
 def aggregate_training_summary(results: list[PartitionResult]) -> dict:

@@ -8,8 +8,9 @@ for their vectorized replacements, and so is the previous halo selection,
 which ranks every node by one provider call per pair, the previous tape
 walk, which keeps every record and every intermediate gradient, the
 previous DCGRU cell, composed of per-primitive tape records over a stack of
-diffused inputs, and the previous graph file encoding, which converts each
-edge field on its own.
+diffused inputs, the previous graph file encoding, which converts each
+edge field on its own, and the previous time-series CSV reader and writer,
+which go row by row.
 The last section holds small readers that only tests need: one edge weight,
 a CSR matrix from a dense array, an identity support, a box's interquartile
 range, a run report's per-epoch loss curves, a bundle's owned nodes and the
@@ -496,6 +497,97 @@ def graph_json(graph) -> str:
         "edges": [[int(ri), int(ci), float(vi)] for ri, ci, vi in zip(r, c, v)],
     }
     return json.dumps(doc, sort_keys=True)
+
+
+# ----------------------------------------------------------------------
+# the previous time-series CSV reader and writer
+# ----------------------------------------------------------------------
+# Kept as the oracle for data.read_timeseries_csv and write_timeseries_csv,
+# which parse and format a block of rows at a time. Row by row, the reader
+# keeps a dict entry per cell and the writer formats each cell through
+# csv.writer. They read and write the table through csv directly, as the
+# table module did when they were current.
+
+TIMESERIES_HEADER = ["timestamp", "sensor_id", "speed", "flow"]
+
+
+def read_timeseries_csv(path):
+    from flowcast.data import TICK, TimeSeriesPanel
+
+    cells: dict[tuple[int, str], tuple[float, float, bool, bool]] = {}
+    seconds: dict[str, int] = {}  # raw timestamp -> epoch seconds, each spelling parsed once
+    nodes: set[str] = set()
+    for lineno, row in _read_table(path, TIMESERIES_HEADER):
+        ts, sid = row[0].strip(), row[1].strip()
+        sec = seconds.get(ts)
+        if sec is None:
+            try:
+                stamp = np.datetime64(ts, "s")
+            except ValueError:
+                stamp = np.datetime64("NaT")
+            if np.isnat(stamp):
+                raise DataError(f"{path}: row {lineno}: bad timestamp {ts!r}")
+            sec = seconds[ts] = int(stamp.astype(np.int64))
+        vals, missing = [], []
+        for text in (row[2].strip(), row[3].strip()):
+            if text == "":
+                vals.append(math.nan)
+                missing.append(True)
+                continue
+            try:
+                value = float(text)
+            except ValueError:
+                value = math.nan  # reported below, like nan and inf spelled out
+            if not math.isfinite(value):
+                raise DataError(f"{path}: row {lineno}: bad value {text!r}")
+            vals.append(value)
+            missing.append(False)
+        if (sec, sid) in cells:  # keyed by instant, so two spellings of one tick collide
+            raise DataError(f"{path}: row {lineno}: duplicate observation for {sid} at {ts}")
+        cells[(sec, sid)] = (vals[0], vals[1], missing[0], missing[1])
+        nodes.add(sid)
+    if not cells:
+        raise DataError(f"{path}: no observations")
+    tick = int(TICK / np.timedelta64(1, "s"))
+    lo, hi = min(seconds.values()), max(seconds.values())
+    for ts, sec in seconds.items():
+        if (sec - lo) % tick:
+            raise DataError(f"{path}: timestamp {ts} is off the 5-minute grid")
+    grid = np.arange(lo, hi + tick, tick).astype("datetime64[s]")
+    node_ids = sorted(nodes)
+    node_index = {s: i for i, s in enumerate(node_ids)}
+    t, n = len(grid), len(node_ids)
+    values = np.full((t, n, 2), math.nan)
+    mask = np.ones((t, n, 2), dtype=bool)
+    for (sec, sid), (speed, flow, m_sp, m_fl) in cells.items():
+        ti = (sec - lo) // tick
+        ni = node_index[sid]
+        values[ti, ni, 0], values[ti, ni, 1] = speed, flow
+        mask[ti, ni, 0], mask[ti, ni, 1] = m_sp, m_fl
+    values[mask] = math.nan
+    return TimeSeriesPanel(grid, node_ids, values, mask)
+
+
+def write_timeseries_csv(path, panel) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TIMESERIES_HEADER)
+        writer.writerows(
+            [str(ts), sid] + ["" if panel.mask[ti, ni, fi]
+                              else repr(float(panel.values[ti, ni, fi]))
+                              for fi in range(len(panel.feature_names))]
+            for ti, ts in enumerate(panel.timestamps) for ni, sid in enumerate(panel.node_ids))
+
+
+def _read_table(path, header):
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        if [h.strip() for h in next(reader, [])] != header:
+            raise DataError(f"{path}: expected header {','.join(header)}")
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise DataError(f"{path}: row {lineno}: expected {len(header)} fields")
+            yield lineno, row
 
 
 # ----------------------------------------------------------------------

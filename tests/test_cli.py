@@ -610,6 +610,34 @@ def test_data_errors_exit_3(pipeline, capsys, tmp_path):
     assert code == 3 and out["kind"] == "data"
 
 
+@pytest.mark.parametrize("command", ["build-graph", "train"])
+@pytest.mark.parametrize("fault, message", [
+    ("not_utf8", "not UTF-8 text (invalid start byte)"),
+    ("huge_field", "row 3: field larger than field limit (131072)"),
+])
+def test_unreadable_table_exits_3(trained, capsys, tmp_path, command, fault, message):
+    """Text that is not UTF-8, and a field over csv's size limit, in the
+    metadata (build-graph) or the time series (train)."""
+    root, config = trained
+    import shutil
+
+    key, name = ("metadata", "sensors.csv") if command == "build-graph" else ("timeseries",
+                                                                             "timeseries.csv")
+    lines = (root / name).read_bytes().split(b"\n")
+    fields = lines[2].split(b",")
+    fields[2] = b"\xff" if fault == "not_utf8" else b"9" * 200_000
+    lines[2] = b",".join(fields)
+    bad = tmp_path / name
+    bad.write_bytes(b"\n".join(lines))
+    shutil.copytree(root / "out", tmp_path / "out")
+    code = main([command, "--config", config, "--set", f"paths.{key}={bad}",
+                 "--set", f"paths.output_dir={tmp_path / 'out'}"])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 3 and len(lines) == 1
+    out = json.loads(lines[0])
+    assert out["kind"] == "data" and out["message"] == f"{bad}: {message}"
+
+
 def test_forecast_with_mismatched_series_fails(trained, capsys, tmp_path):
     root, config = trained
     other = tmp_path / "other"

@@ -2,10 +2,17 @@
 
 import hashlib
 import re
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+import oracles
+from flowcast import data as data_mod, tables
 from flowcast.data import (FEATURES, TICK, SyntheticScenario, TimeSeriesPanel,
                            congested_core_ticks, fit_scaler, generate_synthetic, impute,
                            inverse_transform, make_windows, read_array_container,
@@ -95,6 +102,140 @@ def test_timeseries_csv_errors(tmp_path):
                               f"2024-01-01T00:00:00,a,50,5\n2024-01-01T00:05:00,a,{text},5\n")
         with pytest.raises(DataError, match=f"row 3: bad value '{text}'"):
             read_timeseries_csv(non_finite)
+
+
+# Values that stress repr and float round trips: the smallest subnormal, two
+# that repr writes in exponent form (1e-05, 1e16), -0.0 and the largest float.
+SPECIAL_VALUES = (5e-324, 1e-05, 1e16, -0.0, 0.0, 0.1, 1.0 / 3.0, -2.5e-310,
+                  1.7976931348623157e308)
+# Ids that csv.writer must quote (comma, quote, line breaks) or that the
+# reader strips (spaces), so that two of them may name one sensor.
+SENSOR_IDS = st.lists(st.text(alphabet='Sab0 ,"\r\n\u00e9', max_size=5), min_size=1,
+                      max_size=4, unique=True)
+
+
+@st.composite
+def random_panels(draw):
+    node_ids = draw(SENSOR_IDS)
+    shape = (draw(st.integers(1, 5)), len(node_ids), 2)
+    values = draw(arrays(np.float64, shape, elements=st.one_of(
+        st.sampled_from(SPECIAL_VALUES), st.floats(allow_nan=False, allow_infinity=False))))
+    mask = draw(arrays(bool, shape))
+    start = np.datetime64("2024-01-01", "s") + draw(st.integers(-10**6, 10**6)) * TICK
+    return TimeSeriesPanel(start + np.arange(shape[0]) * TICK, node_ids,
+                           np.where(mask, np.nan, values), mask)
+
+
+def _outcome(read, path):
+    """A read panel, bit for bit, or the DataError it raised."""
+    try:
+        panel = read(path)
+    except DataError as exc:
+        return "DataError", str(exc)
+    return (panel.timestamps.tobytes(), panel.node_ids, panel.values.tobytes(),
+            panel.mask.tobytes())
+
+
+def _small_blocks(data):
+    """Block sizes drawn down to a row or a character, so a short file spans
+    many blocks and switches from comma splitting to csv part way."""
+    def size(*choices):
+        return data.draw(st.sampled_from(choices))
+
+    return (mock.patch.object(tables, "_BLOCK_CHARS", size(1, 50, 1 << 20)),
+            mock.patch.object(tables, "_BLOCK_ROWS", size(1, 2, 1 << 14)),
+            mock.patch.object(data_mod, "_WRITE_ROWS", size(1, 3, 1 << 14)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(panel=random_panels(), data=st.data())
+def test_timeseries_csv_matches_the_row_by_row_oracle(panel, data):
+    blocks, rows, write_rows = _small_blocks(data)
+    with tempfile.TemporaryDirectory() as tmp, blocks, rows, write_rows:
+        ours, theirs = Path(tmp) / "ours.csv", Path(tmp) / "theirs.csv"
+        write_timeseries_csv(ours, panel)
+        oracles.write_timeseries_csv(theirs, panel)
+        assert ours.read_bytes() == theirs.read_bytes()
+        assert _outcome(read_timeseries_csv, ours) == _outcome(oracles.read_timeseries_csv, ours)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(alphabet='a ,"\r\n', max_size=40), width=st.integers(1, 3), data=st.data())
+def test_table_blocks_split_rows_as_csv_does(text, width, data):
+    """Quotes, blank lines and every line end, split at commas where a block
+    allows it and by csv elsewhere, give csv's rows and errors."""
+    header = [f"h{j}" for j in range(width)]
+    blocks, rows, _ = _small_blocks(data)
+    with tempfile.TemporaryDirectory() as tmp, blocks, rows:
+        path = Path(tmp) / "t.csv"
+        path.write_bytes((",".join(header) + "\r\n" + text).encode("utf-8"))
+        outcomes = []
+        for read in (tables.read_table, oracles._read_table):
+            try:
+                outcomes.append([(n, list(row)) for n, row in read(path, header)])
+            except DataError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+
+BAD_VALUES = ("nan", "inf", "-inf", "1e999", "fast", "", " ", " 7.5 ", "1_0", "0x10",
+              "\u0661\u0662", "+3", "-0.0", "5e-324")
+BAD_STAMPS = ("2024-13-01T00:00:00", "NaT", "", "soon", "2023-12-31T23:57:00")
+
+
+@st.composite
+def malformed_files(draw):
+    """The oracle writer's lines of a small panel, changed 1 to 3 times."""
+    panel = draw(random_panels())
+    with tempfile.TemporaryDirectory() as tmp:
+        oracles.write_timeseries_csv(Path(tmp) / "ts.csv", panel)
+        lines = (Path(tmp) / "ts.csv").read_bytes().decode("utf-8").split("\r\n")[:-1]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["value", "stamp", "respell", "off_grid", "sensor", "duplicate",
+                                     "fields", "blank", "quote", "empty", "header"]))
+        if len(lines) < 2:
+            break
+        i = draw(st.integers(1, len(lines) - 1))
+        fields = lines[i].split(",")
+        if len(fields) != 4 and kind not in ("duplicate", "blank", "empty", "header"):
+            continue  # a blank line, or an id holding a comma or a line break
+        if kind == "value":
+            fields[draw(st.sampled_from([2, 3]))] = draw(st.sampled_from(BAD_VALUES))
+        elif kind == "stamp":
+            fields[0] = draw(st.sampled_from(BAD_STAMPS))
+        elif kind == "respell":  # the same instant, spelled with a space
+            fields[0] = fields[0].replace("T", " ")
+        elif kind == "off_grid":
+            fields[0] = fields[0][:-4] + "3:00"
+        elif kind == "sensor":
+            fields[1] = draw(st.sampled_from([" " + fields[1], (lines[1].split(",") + [""])[1]]))
+        elif kind == "duplicate":
+            lines.insert(draw(st.integers(i, len(lines))), lines[i].replace("T", draw(
+                st.sampled_from(["T", " "]))))
+        elif kind == "fields":
+            fields = fields[:-1] if draw(st.booleans()) else fields + ["1"]
+        elif kind == "blank":
+            lines.insert(i, "")
+        elif kind == "quote":
+            fields[1] = '"' + fields[1].replace('"', "") + '"'
+        elif kind == "empty":
+            del lines[1:]
+            continue
+        else:
+            lines[0] = "time,sensor,speed,flow"
+        if kind not in ("duplicate", "blank"):
+            lines[i] = ",".join(fields)
+    return "".join(line + draw(st.sampled_from(["\r\n", "\n"])) for line in lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=malformed_files(), data=st.data())
+def test_malformed_timeseries_csv_fails_as_the_oracle_does(text, data):
+    blocks, rows, write_rows = _small_blocks(data)
+    with tempfile.TemporaryDirectory() as tmp, blocks, rows, write_rows:
+        path = Path(tmp) / "ts.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(read_timeseries_csv, path) == _outcome(oracles.read_timeseries_csv, path)
 
 
 def test_binary_container_rejects_foreign_files(tmp_path):
@@ -345,6 +486,23 @@ def test_window_feature_selection():
                       output_features=("flow",))
     assert ds.x.shape[-1] == 2 and ds.y.shape[-1] == 1
     assert np.array_equal(ds.y[0, :, :, 0], panel.values[4:6, :, 1])
+
+
+def test_windows_are_read_only_views_equal_to_stacked_copies():
+    panel = make_panel(np.random.default_rng(7).normal(size=(30, 3, 2)))
+    for inputs, outputs, stride, shares in ((None, None, 1, True), (("speed",), ("flow",), 3, True),
+                                            (("flow", "speed"), ("speed",), 2, False)):
+        ds = make_windows(panel, 4, 2, stride=stride, input_features=inputs,
+                          output_features=outputs)
+        in_idx = [FEATURES.index(f) for f in ds.input_features]
+        out_idx = [FEATURES.index(f) for f in ds.output_features]
+        assert np.array_equal(ds.x, np.stack([panel.values[s:s + 4][:, :, in_idx]
+                                              for s in ds.starts]))
+        assert np.array_equal(ds.y, np.stack([panel.values[s + 4:s + 6][:, :, out_idx]
+                                              for s in ds.starts]))
+        assert not ds.x.flags.writeable and not ds.y.flags.writeable
+        assert np.shares_memory(ds.y, panel.values)
+        assert np.shares_memory(ds.x, panel.values) == shares  # a reversed pick is one copy
 
 
 def _bundle_for(node_ids, order):

@@ -1,6 +1,7 @@
 """Training loop, orchestration, checkpointing, and inference."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -337,6 +338,31 @@ def test_train_all_isolates_partition_failures():
     assert not results[1].ok and "degenerate" in results[1].error
     summary = training_mod.aggregate_training_summary(results)
     assert summary["trained"] == 1 and len(summary["failed"]) == 1
+
+
+def test_train_all_sends_each_task_only_its_bundle_columns(monkeypatch):
+    panel, bundles = _two_cluster_panel_and_bundles()
+    train_panel, valid_panel = _split_panel(panel)
+    alone = SensorGraph(["S_not_in_panel"], csr_from_dense(np.zeros((1, 1))))
+    stray = replace(extract_subgraphs(alone, PartitionAssignment(np.zeros(1, int), 1))[0],
+                    part_id=2)
+    sent = []
+
+    def spy(task, run=training_mod._train_task):
+        sent.append(task[:3])
+        return run(task)
+
+    monkeypatch.setattr(training_mod, "_train_task", spy)
+    results = train_all([stray, *bundles], train_panel, valid_panel,
+                        _fast_config(epochs=1, batch_size=32), lookback=3, horizon=2)
+    assert [r.part_id for r in results] == [stray.part_id, 0, 1]
+    assert "missing node S_not_in_panel" in results[0].error
+    assert all(r.ok for r in results[1:])
+    assert [b.part_id for b, _, _ in sent] == [0, 1]
+    for bundle, local_train, local_valid in sent:
+        assert local_train.node_ids == local_valid.node_ids == list(bundle.graph.sensor_ids)
+        assert local_train.values.shape == (120, bundle.n_local, 2)
+        assert local_valid.values.shape == (40, bundle.n_local, 2)
 
 
 def test_train_all_empty_is_empty():
