@@ -263,26 +263,39 @@ def cmd_train(config: PipelineConfig, workers: int = 1) -> None:
              max_wall_seconds=summary["max_wall_seconds"])
 
 
-def _load_checkpoints(out_dir: Path, bundles) -> list[training.Checkpoint]:
-    checkpoints = []
-    for b in bundles:
-        path = out_dir / "checkpoints" / f"part{b.part_id:03d}.fcbin"
+def _load_partitions(config: PipelineConfig) -> list[tuple]:
+    """(bundle, checkpoint) pairs, each checkpoint checked against its bundle
+    and model.mode, model.lookback and model.horizon before any series is read."""
+    model = config.values["model"]
+    out_dir = config.path("output_dir")
+    partitions = []
+    for bundle in partmod.read_bundles(out_dir / "bundles"):
+        path = out_dir / "checkpoints" / f"part{bundle.part_id:03d}.fcbin"
         if not path.exists():
             raise ConfigError(f"missing checkpoint {path}; run train first")
-        checkpoints.append(training.Checkpoint.load(path))
-    return checkpoints
+        ckpt = training.Checkpoint.load(path)
+        if ckpt.sensor_ids != list(bundle.graph.sensor_ids):
+            raise DataError(f"{path}: nodes differ from those of bundle {bundle.part_id}")
+        if (ckpt.input_features, ckpt.output_features) != training.mode_features(model["mode"]):
+            raise DataError(f"{path}: model.mode is {model['mode']}, but the checkpoint maps "
+                            f"{'+'.join(ckpt.input_features)} to {'+'.join(ckpt.output_features)}")
+        for key in ("lookback", "horizon"):
+            if getattr(ckpt.config, key) != model[key]:
+                raise DataError(f"{path}: model.{key} is {model[key]}, but the checkpoint "
+                                f"was trained with {getattr(ckpt.config, key)}")
+        partitions.append((bundle, ckpt))
+    return partitions
 
 
 def cmd_evaluate(config: PipelineConfig) -> None:
     lookback, horizon = config.get("model", "lookback"), config.get("model", "horizon")
     in_f, out_f = training.mode_features(config.get("model", "mode"))
     out_dir = config.path("output_dir")
-    bundles = partmod.read_bundles(out_dir / "bundles")
-    checkpoints = _load_checkpoints(out_dir, bundles)
+    partitions = _load_partitions(config)
     _, (_, _, test_panel) = _load_split_panels(config)
     rows = []
     horizon_rows = []
-    for bundle, ckpt in zip(bundles, checkpoints):
+    for bundle, ckpt in partitions:
         local = data.slice_for_partition(test_panel, bundle)
         windows = data.make_windows(local, lookback, horizon,
                                     input_features=in_f, output_features=out_f)
@@ -302,35 +315,35 @@ def cmd_evaluate(config: PipelineConfig) -> None:
 
 
 def cmd_forecast(config: PipelineConfig) -> None:
-    lookback = config.get("model", "lookback")
-    in_f, _ = training.mode_features(config.get("model", "mode"))
+    lookback, horizon = config.get("model", "lookback"), config.get("model", "horizon")
+    in_f, out_f = training.mode_features(config.get("model", "mode"))
     out_dir = config.path("output_dir")
-    bundles = partmod.read_bundles(out_dir / "bundles")
-    checkpoints = _load_checkpoints(out_dir, bundles)
+    partitions = _load_partitions(config)
     imputed, _ = _load_split_panels(config)
-    in_idx = [imputed.feature_index(f) for f in in_f]
+    recent = imputed.tick_slice(imputed.n_ticks - lookback, imputed.n_ticks)
+    in_idx = [recent.feature_index(f) for f in in_f]
     rows = []
-    for bundle, ckpt in zip(bundles, checkpoints):
-        local = data.slice_for_partition(imputed, bundle)
-        window = local.values[-lookback:][:, :, in_idx]
+    for bundle, ckpt in partitions:
+        window = data.slice_for_partition(recent, bundle).values[:, :, in_idx]
         pred = training.forecast(ckpt, window)
         for i in np.flatnonzero(~bundle.halo_flags):
             sid = bundle.graph.sensor_ids[int(i)]
             for t in range(pred.shape[0]):
                 rows.append([sid, (t + 1) * 5] + [repr(float(v)) for v in pred[t, int(i)]])
-    write_table(out_dir / "forecast.csv",
-                ["node_id", "minutes_ahead"] + list(checkpoints[0].output_features), sorted(rows))
-    _summary("forecast", nodes=len({r[0] for r in rows}),
-             steps=checkpoints[0].config.horizon, file=str(out_dir / "forecast.csv"))
+    write_table(out_dir / "forecast.csv", ["node_id", "minutes_ahead"] + list(out_f), sorted(rows))
+    _summary("forecast", nodes=len({r[0] for r in rows}), steps=horizon,
+             file=str(out_dir / "forecast.csv"))
 
 
 def cmd_analyze(config: PipelineConfig) -> None:
     lookback, horizon = config.get("model", "lookback"), config.get("model", "horizon")
     mode = config.get("model", "mode")
+    in_f, out_f = training.mode_features(mode)
     out_dir = config.path("output_dir")
     mae_path = out_dir / "node_mae.csv"
     if not mae_path.exists():
         raise ConfigError(f"missing {mae_path}; run evaluate first")
+    partitions = _load_partitions(config) if mode == "multioutput" else []
     meta = {m.sensor_id: m for m in
             graphmod.read_metadata_csv(config.path("metadata", must_exist=True))}
     imputed, (_, _, test_panel) = _load_split_panels(config)
@@ -338,7 +351,7 @@ def cmd_analyze(config: PipelineConfig) -> None:
     cov, zero_mean = analysis.coefficient_of_variation(imputed, primary_feature)
     cov_by_id = {sid: float(cov[i]) for i, sid in enumerate(imputed.node_ids)}
     records = []
-    header = ["node_id", "part"] + [f"mae_{f}" for f in training.mode_features(mode)[1]]
+    header = ["node_id", "part"] + [f"mae_{f}" for f in out_f]
     for lineno, row in read_table(mae_path, header):
         sid = row[0]
         try:
@@ -366,20 +379,15 @@ def cmd_analyze(config: PipelineConfig) -> None:
     analysis.write_box_stats_csv(out_dir / "mae_box_stats.csv", stats)
     fd_rows = 0
     if mode == "multioutput":
-        bundles = partmod.read_bundles(out_dir / "bundles")
-        checkpoints = _load_checkpoints(out_dir, bundles)
         all_rows = []
-        for bundle, ckpt in zip(bundles, checkpoints):
+        for bundle, ckpt in partitions:
             local = data.slice_for_partition(test_panel, bundle)
             windows = data.make_windows(local, lookback, horizon, stride=horizon,
-                                        input_features=ckpt.input_features,
-                                        output_features=ckpt.output_features)
+                                        input_features=in_f, output_features=out_f)
             keep = ~bundle.halo_flags
             ids = [s for s, h in zip(bundle.graph.sensor_ids, bundle.halo_flags) if not h]
-            for s in range(windows.n_samples):
-                pred = training.forecast(ckpt, windows.x[s])
-                all_rows.extend(analysis.emit_fundamental_diagram(
-                    pred[:, keep], ids, ckpt.output_features))
+            for pred in training.forecast(ckpt, windows.x):
+                all_rows.extend(analysis.emit_fundamental_diagram(pred[:, keep], ids, out_f))
         analysis.write_fundamental_csv(out_dir / "fundamental_diagram.csv", all_rows)
         fd_rows = len(all_rows)
     _summary("analyze", records=len(records), cart_train_accuracy=train_acc,

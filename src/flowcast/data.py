@@ -504,8 +504,10 @@ def slice_for_partition(panel: TimeSeriesPanel, bundle) -> TimeSeriesPanel:
             raise DataError(f"panel is missing node {sid}")
         cols.append(index[sid])
     cols = np.asarray(cols, dtype=np.int64)
+    # np.take gives one C-contiguous copy: on strided arrays training rounds differently
     return replace(panel, node_ids=list(bundle.graph.sensor_ids),
-                   values=panel.values[:, cols].copy(), mask=panel.mask[:, cols].copy())
+                   values=np.take(panel.values, cols, axis=1),
+                   mask=np.take(panel.mask, cols, axis=1))
 
 
 # ----------------------------------------------------------------------

@@ -46,14 +46,14 @@ def read_blocks(path, header):
     rows: columns[j] holds field j of each row, and the first data row is 2.
 
     The file's header fields, stripped, must equal `header`, and every row
-    must have as many fields. A row that breaks this, a field longer than
-    `csv.field_size_limit()` or text that is not UTF-8 raises DataError naming
-    the path and, where known, the row; the rows before it come first, as the
-    last block. Blocks of lines without quotes, NULs, blank or overlong lines
-    are split at commas, as csv would split them; from the first other block
-    on, csv parses the rest of the file."""
+    must be UTF-8 text with as many fields. A row that breaks this or has a
+    field longer than `csv.field_size_limit()` raises DataError naming the
+    path and the row; the rows before it come first, as the last block.
+    Blocks of UTF-8 lines without quotes, NULs, blank or overlong lines are
+    split at commas, as csv would split them; from the first other block on,
+    csv parses the rest of the file."""
     width = len(header)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         first, rows, problem = 1, [], None
         try:
             if [h.strip() for h in next(csv.reader(fh), [])] != header:
@@ -63,6 +63,7 @@ def read_blocks(path, header):
                 bodies = list(map(str.rstrip, lines, repeat("\r\n")))
                 text = ",".join(bodies)
                 if ('"' in text or "\0" in text or "" in bodies
+                        or _not_utf8(text)
                         or max(map(len, bodies)) > csv.field_size_limit()
                         or set(map(str.count, bodies, repeat(","))) != {width - 1}):
                     break
@@ -70,6 +71,9 @@ def read_blocks(path, header):
                 yield first, [fields[j::width] for j in range(width)]
                 first += len(lines)
             for row in csv.reader(chain(lines, fh)):
+                if reason := _not_utf8(",".join(row)):
+                    problem = f"row {first + len(rows)}: not UTF-8 text ({reason})"
+                    break
                 if len(row) != width:
                     problem = f"row {first + len(rows)}: expected {width} fields"
                     break
@@ -79,13 +83,20 @@ def read_blocks(path, header):
                     rows, first = [], first + _BLOCK_ROWS
         except csv.Error as exc:
             problem = f"row {first + len(rows)}: {exc}"
-        except UnicodeDecodeError as exc:
-            # decoded ahead of the parser, a block of bytes at a time
-            problem = f"not UTF-8 text ({exc.reason})"
         if rows:
             yield first, list(zip(*rows))
         if problem:
             raise DataError(f"{path}: {problem}")
+
+
+def _not_utf8(text: str) -> str | None:
+    """Why the bytes surrogateescape read as `text` are not UTF-8, or None if they are."""
+    if not text.isascii():
+        try:
+            text.encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return exc.reason
+    return None
 
 
 def read_table(path, header):

@@ -31,7 +31,7 @@ from .partition import SubgraphBundle
 from .sparse import CsrMatrix
 from .tables import write_table
 
-_EVAL_BATCH = 256  # windows per inference batch in evaluate()
+_EVAL_BATCH = 256  # windows per predict() call in forecast()
 MODE_FEATURES = {"speed_only": ("speed",), "flow_only": ("flow",),
                  "multioutput": ("speed", "flow")}  # each mode's input = output features
 
@@ -320,17 +320,14 @@ class PartitionResult:
         return self.error is None
 
 
-def prepare_partition_windows(bundle: SubgraphBundle, train_panel: TimeSeriesPanel,
-                              valid_panel: TimeSeriesPanel, mode: str,
-                              lookback: int, horizon: int):
-    """Slice, fit the scaler on the bundle's training slice only, normalize, window."""
+def prepare_partition_windows(train_panel: TimeSeriesPanel, valid_panel: TimeSeriesPanel,
+                              mode: str, lookback: int, horizon: int):
+    """Fit the scaler on a partition's local training panel only, normalize, window."""
     in_f, out_f = mode_features(mode)
-    local_train = slice_for_partition(train_panel, bundle)
-    local_valid = slice_for_partition(valid_panel, bundle)
-    scaler = fit_scaler(local_train)
-    train_w = make_windows(transform(local_train, scaler), lookback, horizon,
+    scaler = fit_scaler(train_panel)
+    train_w = make_windows(transform(train_panel, scaler), lookback, horizon,
                            input_features=in_f, output_features=out_f)
-    valid_w = make_windows(transform(local_valid, scaler), lookback, horizon,
+    valid_w = make_windows(transform(valid_panel, scaler), lookback, horizon,
                            input_features=in_f, output_features=out_f)
     return train_w, valid_w, scaler
 
@@ -340,7 +337,7 @@ def _train_task(args) -> PartitionResult:
     try:
         part_config = replace(config, seed=config.seed + bundle.part_id)
         train_w, valid_w, scaler = prepare_partition_windows(
-            bundle, train_panel, valid_panel, mode, lookback, horizon)
+            train_panel, valid_panel, mode, lookback, horizon)
         checkpoint, report = train_partition(bundle, train_w, valid_w, scaler, part_config)
         return PartitionResult(bundle.part_id, checkpoint, report)
     except FlowcastError as exc:
@@ -405,23 +402,27 @@ def write_training_summary(path, results: list[PartitionResult]) -> None:
 # ----------------------------------------------------------------------
 
 
-def forecast(checkpoint: Checkpoint, window: np.ndarray) -> np.ndarray:
-    """[lookback, nodes, P] in original units -> [horizon, nodes, Q] in original units."""
+def forecast(checkpoint: Checkpoint, windows: np.ndarray) -> np.ndarray:
+    """One window [lookback, nodes, P] or a batch [b, lookback, nodes, P] in
+    original units -> [horizon, nodes, Q] or [b, horizon, nodes, Q] in original
+    units, predicted _EVAL_BATCH windows at a time."""
     cfg = checkpoint.config
-    window = np.asarray(window, dtype=np.float64)
+    windows = np.asarray(windows, dtype=np.float64)
     expected = (cfg.lookback, len(checkpoint.sensor_ids), cfg.input_dim)
-    if window.shape != expected:
-        raise DataError(f"window shape {window.shape} does not match checkpoint {expected}")
+    if windows.ndim not in (3, 4) or windows.shape[-3:] != expected or not windows.size:
+        raise DataError(f"window shape {windows.shape} does not match checkpoint {expected}")
     params, supports = checkpoint.build_model()
-    z = transform_values(window, checkpoint.scaler, checkpoint.input_features)
-    pred = predict(params, supports, z[None])[0]
-    return inverse_transform(pred, checkpoint.scaler, checkpoint.output_features)
+    z = transform_values(windows.reshape(-1, *expected), checkpoint.scaler,
+                         checkpoint.input_features)
+    pred = np.concatenate([predict(params, supports, z[lo:lo + _EVAL_BATCH])
+                           for lo in range(0, len(z), _EVAL_BATCH)])
+    pred = inverse_transform(pred, checkpoint.scaler, checkpoint.output_features)
+    return pred.reshape(windows.shape[:-3] + pred.shape[1:])
 
 
 @dataclass
 class EvalResult:
     node_ids: list[str]  # non-halo nodes only
-    output_features: tuple[str, ...]
     mae: np.ndarray  # [nodes, Q], original units, averaged over samples and steps
     horizon_mae: dict[int, np.ndarray]  # minutes -> [nodes, Q]
 
@@ -434,15 +435,15 @@ def evaluate(checkpoint: Checkpoint, test_windows: WindowedDataset,
     """Per-node MAE on held-out windows (original units), halo nodes excluded."""
     if list(bundle.graph.sensor_ids) != list(checkpoint.sensor_ids):
         raise DataError("bundle nodes do not match checkpoint nodes")
-    params, supports = checkpoint.build_model()
+    cfg = checkpoint.config
     x, y = test_windows.x, test_windows.y
-    abs_err_sum = np.zeros((y.shape[1], y.shape[2], y.shape[3]))
+    expected = (cfg.horizon, len(checkpoint.sensor_ids), cfg.output_dim)
+    if y.shape[1:] != expected:
+        raise DataError(f"target shape {y.shape[1:]} does not match checkpoint {expected}")
+    abs_err_sum = np.zeros(expected)
     for lo in range(0, x.shape[0], _EVAL_BATCH):
-        hi = min(lo + _EVAL_BATCH, x.shape[0])
-        z = transform_values(x[lo:hi], checkpoint.scaler, checkpoint.input_features)
-        pred = predict(params, supports, z)
-        pred = inverse_transform(pred, checkpoint.scaler, checkpoint.output_features)
-        abs_err_sum += np.abs(pred - y[lo:hi]).sum(axis=0)
+        abs_err_sum += np.abs(forecast(checkpoint, x[lo:lo + _EVAL_BATCH])
+                              - y[lo:lo + _EVAL_BATCH]).sum(axis=0)
     n_samples = x.shape[0]
     keep = ~bundle.halo_flags
     horizon_mae = {}
@@ -453,4 +454,4 @@ def evaluate(checkpoint: Checkpoint, test_windows: WindowedDataset,
                                     / (n_samples * steps))[keep]
     mae = (abs_err_sum.sum(axis=0) / (n_samples * y.shape[1]))[keep]
     node_ids = [sid for sid, h in zip(checkpoint.sensor_ids, bundle.halo_flags) if not h]
-    return EvalResult(node_ids, checkpoint.output_features, mae, horizon_mae)
+    return EvalResult(node_ids, mae, horizon_mae)

@@ -72,6 +72,17 @@ def trained(tmp_path_factory):
     return root, config
 
 
+@pytest.fixture(scope="module")
+def trained_multioutput(tmp_path_factory):
+    """As `trained`, in multioutput mode, and evaluated."""
+    root = tmp_path_factory.mktemp("multioutput")
+    config = root / "config.ini"
+    config.write_text(CONFIG_TEMPLATE.format(root=root).replace("speed_only", "multioutput"))
+    for command in ("synth", "build-graph", "partition", "train", "evaluate"):
+        assert main([command, "--config", str(config)]) == 0, command
+    return root, str(config)
+
+
 def run_ok(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out.strip().splitlines()
@@ -406,6 +417,58 @@ def test_missing_checkpoints_exit_2(trained, capsys, tmp_path):
     assert code == 2 and "run train first" in out["message"]
 
 
+def test_multioutput_analyze_forecasts_each_test_window(trained_multioutput, capsys):
+    """fundamental_diagram.csv holds, for each test window that starts a
+    horizon after the last, the forecast of each non-halo node."""
+    from flowcast.data import make_windows, slice_for_partition
+    from flowcast.partition import read_bundles
+    from flowcast.training import Checkpoint, forecast
+
+    root, config = trained_multioutput
+    summary = run_ok(capsys, "analyze", "--config", config)
+    _, (_, _, test_panel) = cli._load_split_panels(load_config(config, []))
+    expected = []
+    for bundle in read_bundles(root / "out" / "bundles"):
+        ckpt = Checkpoint.load(root / "out" / "checkpoints" / f"part{bundle.part_id:03d}.fcbin")
+        windows = make_windows(slice_for_partition(test_panel, bundle), 4, 3, stride=3)
+        for x in windows.x:
+            pred = forecast(ckpt, x)
+            expected.extend([bundle.graph.sensor_ids[i], str(t), repr(float(pred[t, i, 0])),
+                             repr(float(pred[t, i, 1]))]
+                            for i in np.flatnonzero(~bundle.halo_flags) for t in range(3))
+    rows = [list(row) for _, row in read_table(root / "out" / "fundamental_diagram.csv",
+                                               ["node_id", "step", "speed_mph",
+                                                "flow_veh_per_5min"])]
+    assert rows == expected and summary["fundamental_rows"] == len(expected) > 0
+
+
+@pytest.mark.parametrize("command", ["evaluate", "forecast", "analyze"])
+@pytest.mark.parametrize("key", ["model.mode", "model.lookback", "model.horizon"])
+def test_checkpoints_of_another_model_exit_3_before_the_series_is_read(
+        trained, trained_multioutput, capsys, tmp_path, command, key):
+    """speed_only checkpoints under flow_only made evaluate and forecast exit 0
+    with wrong values; other mismatches raised a traceback or named no key."""
+    import shutil
+
+    # analyze forecasts only in multioutput mode, so its mode case loads speed_only checkpoints
+    multioutput = command == "analyze" and key != "model.mode"
+    root, config = trained_multioutput if multioutput else trained
+    value = {"model.mode": "multioutput" if command == "analyze" else "flow_only",
+             "model.lookback": "5", "model.horizon": "2"}[key]
+    out_dir = tmp_path / "out"
+    shutil.copytree(root / "out", out_dir)
+    if not (out_dir / "node_mae.csv").exists():
+        (out_dir / "node_mae.csv").write_text("node_id,part,mae_speed,mae_flow\n")
+    code = main([command, "--config", config, "--set", f"{key}={value}",
+                 "--set", f"paths.output_dir={out_dir}",
+                 "--set", f"paths.timeseries={tmp_path / 'absent.csv'}"])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 3 and len(lines) == 1
+    out = json.loads(lines[0])
+    assert out["kind"] == "data"
+    assert out["message"].startswith(f"{out_dir / 'checkpoints' / 'part000.fcbin'}: {key} is ")
+
+
 def test_partition_without_graph_exits_2(trained, capsys, tmp_path):
     _, config = trained
     code = main(["partition", "--config", config,
@@ -610,23 +673,37 @@ def test_data_errors_exit_3(pipeline, capsys, tmp_path):
     assert code == 3 and out["kind"] == "data"
 
 
+UNREADABLE = {  # fault -> (new third field by row number, message by command)
+    "not_utf8": ({3: b"\xff"}, "row 3: not UTF-8 text (invalid start byte)"),
+    "huge_field": ({3: b"9" * 200_000}, "row 3: field larger than field limit (131072)"),
+    "bad_row_before_not_utf8": ({4: b"x", 6: b"\xff"}, {"build-graph": "row 4: bad coordinates",
+                                                        "train": "row 4: bad value 'x'"}),
+}
+
+
 @pytest.mark.parametrize("command", ["build-graph", "train"])
-@pytest.mark.parametrize("fault, message", [
-    ("not_utf8", "not UTF-8 text (invalid start byte)"),
-    ("huge_field", "row 3: field larger than field limit (131072)"),
-])
-def test_unreadable_table_exits_3(trained, capsys, tmp_path, command, fault, message):
+@pytest.mark.parametrize("fault", list(UNREADABLE))
+@pytest.mark.parametrize("quoted", [False, True], ids=["split_at_commas", "csv_parsed"])
+def test_unreadable_table_exits_3(trained, capsys, tmp_path, command, fault, quoted):
     """Text that is not UTF-8, and a field over csv's size limit, in the
-    metadata (build-graph) or the time series (train)."""
+    metadata (build-graph) or the time series (train), each reported at its
+    row and after any bad row before it. A quoted field in row 2 sends the
+    whole file through csv."""
     root, config = trained
     import shutil
 
     key, name = ("metadata", "sensors.csv") if command == "build-graph" else ("timeseries",
                                                                              "timeseries.csv")
     lines = (root / name).read_bytes().split(b"\n")
-    fields = lines[2].split(b",")
-    fields[2] = b"\xff" if fault == "not_utf8" else b"9" * 200_000
-    lines[2] = b",".join(fields)
+    replaced, message = UNREADABLE[fault]
+    for row, value in replaced.items():
+        fields = lines[row - 1].split(b",")
+        fields[2] = value
+        lines[row - 1] = b",".join(fields)
+    if quoted:
+        fields = lines[1].split(b",")
+        fields[1] = b'"' + fields[1] + b'"'
+        lines[1] = b",".join(fields)
     bad = tmp_path / name
     bad.write_bytes(b"\n".join(lines))
     shutil.copytree(root / "out", tmp_path / "out")
@@ -635,6 +712,7 @@ def test_unreadable_table_exits_3(trained, capsys, tmp_path, command, fault, mes
     lines = capsys.readouterr().out.strip().splitlines()
     assert code == 3 and len(lines) == 1
     out = json.loads(lines[0])
+    message = message[command] if isinstance(message, dict) else message
     assert out["kind"] == "data" and out["message"] == f"{bad}: {message}"
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import flowcast.training as training_mod
-from flowcast.data import TICK, FeatureScaler, TimeSeriesPanel
+from flowcast.data import TICK, FeatureScaler, TimeSeriesPanel, slice_for_partition
 from flowcast.errors import ConfigError, DataError
 from flowcast.graph import SensorGraph
 from flowcast.model import Seq2SeqConfig, init_params
@@ -213,6 +213,32 @@ def test_forecast_applies_inverse_transform():
     assert np.allclose(pred, 30.0 + 2.0 * 4.0)  # beta in normalized space
 
 
+def test_forecast_of_a_batch_equals_its_windows_forecast_one_by_one(monkeypatch):
+    """Random weights, two scaled features, and a 70-node path graph, whose
+    support takes the band-block product; more windows than one predict call."""
+    n = 70
+    path = np.zeros((n, n))
+    path[np.arange(n - 1), np.arange(1, n)] = path[np.arange(1, n), np.arange(n - 1)] = 1.0
+    g = graph_of(path)
+    cfg = Seq2SeqConfig(input_dim=2, output_dim=2, lookback=3, horizon=2, layers=2, units=4)
+    params = init_params(cfg, seed=5)
+    from flowcast.model import build_supports
+    ckpt = Checkpoint(cfg, [name for name, _ in params.named()], params.values(),
+                      FeatureScaler(np.array([55.0, 80.0]), np.array([6.0, 9.0]),
+                                    ("speed", "flow")),
+                      list(g.sensor_ids), np.zeros(n, bool),
+                      build_supports(g, "random_walk", 2).matrices,
+                      ("speed", "flow"), ("speed", "flow"))
+    windows = np.random.default_rng(4).normal(60.0, 8.0, size=(5, 3, n, 2))
+    monkeypatch.setattr(training_mod, "_EVAL_BATCH", 2)
+    batch = forecast(ckpt, windows)
+    assert batch.shape == (5, 2, n, 2)
+    assert np.array_equal(batch, np.stack([forecast(ckpt, w) for w in windows]))
+    for wrong_rank in (windows[None], windows[0, 0]):
+        with pytest.raises(DataError, match="window shape"):
+            forecast(ckpt, wrong_rank)
+
+
 def test_evaluate_exact_mae_and_halo_exclusion():
     ckpt, bundle = constant_predictor_checkpoint(5.0, n_nodes=2, horizon=12)
     from flowcast.data import WindowedDataset
@@ -241,6 +267,9 @@ def test_evaluate_perfect_and_offset_predictors():
     assert evaluate(ckpt, off, bundle).mae[0, 0] == pytest.approx(1.0)
     assert 15 in evaluate(ckpt, off, bundle).horizon_mae
     assert 60 not in evaluate(ckpt, off, bundle).horizon_mae  # horizon is 30 minutes
+    short = WindowedDataset(x, np.full((3, 5, 2, 1), 3.0), np.arange(3), ("speed",), ("speed",))
+    with pytest.raises(DataError, match="target shape"):
+        evaluate(ckpt, short, bundle)
 
 
 def test_checkpoint_load_rejects_other_containers(tmp_path):
@@ -375,7 +404,8 @@ def test_prepare_partition_windows_normalizes_with_local_scaler():
     panel, bundles = _two_cluster_panel_and_bundles()
     train_panel, valid_panel = _split_panel(panel)
     train_w, valid_w, scaler = prepare_partition_windows(
-        bundles[0], train_panel, valid_panel, "multioutput", 3, 2)
+        slice_for_partition(train_panel, bundles[0]), slice_for_partition(valid_panel, bundles[0]),
+        "multioutput", 3, 2)
     assert train_w.x.shape[-1] == 2 and train_w.y.shape[-1] == 2
     local = panel.values[:120, :3, :]
     assert scaler.means[0] == pytest.approx(local[..., 0].mean())
