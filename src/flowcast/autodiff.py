@@ -11,6 +11,11 @@ topological order), accumulating gradients additively and releasing each
 record and output gradient as it goes, so a tape serves one backward.
 Inference uses `Tape(record=False)`, which keeps no records at all.
 
+The large arrays a recorded op keeps for backward, and the largest
+temporaries of its backward, live in the tape's `Workspace`. A training run
+lends one workspace to every step's tape, so after its first step no step
+allocates or frees them; a recording tape made without one gets its own.
+
 Leaf tensors (parameters, constants) are not bound to any tape, so the same
 parameter objects can be reused across many training-step tapes.
 """
@@ -40,13 +45,64 @@ class Tensor:
         return f"Tensor(uid={self.uid}, shape={self.value.shape})"
 
 
-class Tape:
-    """Records ops (record=False: none); provides backward(). One tape per step."""
+class Workspace:
+    """Buffers for the arrays that recorded ops keep until backward, and for
+    the largest temporaries of their backward, reused by one tape after
+    another.
 
-    def __init__(self, record: bool = True):
+    The k-th `take` of a tape returns the buffer of the k-th slot;
+    `scratch` returns the one buffer of its name and shape, for temporaries
+    that no op keeps. A buffer is allocated on first use and handed out as a
+    leading-axis (batch) view, so a smaller batch reuses the same memory; it
+    is reallocated only for a larger batch. A training run's first batch is
+    its largest.
+    """
+
+    def __init__(self):
+        self._buffers: dict[tuple, np.ndarray] = {}
+        self._next = 0
+        self._lent = False
+
+    def lend(self) -> None:
+        """Start a tape's use; raises while the previous tape has not run backward."""
+        if self._lent:
+            raise RuntimeError("workspace still holds a tape that has not run backward")
+        self._lent, self._next = True, 0
+
+    def release(self) -> None:
+        self._lent = False
+
+    def _get(self, key: tuple, shape: tuple[int, ...]) -> np.ndarray:
+        buf = self._buffers.get(key)
+        if buf is None or buf.shape[1:] != shape[1:] or buf.shape[0] < shape[0]:
+            buf = self._buffers[key] = np.empty(shape)
+        return buf[:shape[0]]
+
+    def take(self, shape: tuple[int, ...]) -> np.ndarray:
+        """The next slot's buffer."""
+        self._next += 1
+        return self._get((self._next,), shape)
+
+    def scratch(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """The shared buffer of this name and shape, valid until the next request."""
+        return self._get((name,) + shape[1:], shape)
+
+
+class Tape:
+    """Records ops (record=False: none); provides backward(). One tape per step.
+
+    A recording tape borrows `workspace` (a fresh one when None) until its
+    backward has run; a tape that records nothing has none.
+    """
+
+    def __init__(self, record: bool = True, workspace: Workspace | None = None):
         self._record = record
         self._records: list[tuple[int, tuple[int, ...], object]] = []
         self._known: set[int] = set()
+        self.workspace = None
+        if record:
+            self.workspace = workspace if workspace is not None else Workspace()
+            self.workspace.lend()
 
     def _emit(self, value, inputs: Sequence[Tensor], backward) -> Tensor:
         out = Tensor(value)
@@ -58,6 +114,13 @@ class Tape:
     # ------------------------------------------------------------------
     # primitives
     # ------------------------------------------------------------------
+
+    def buffer(self, shape: tuple[int, ...]) -> np.ndarray:
+        """An array for an op to fill and keep for its backward: the next slot
+        of the workspace, or a fresh array when nothing records."""
+        if self.workspace is None:
+            return np.empty(shape)
+        return self.workspace.take(shape)
 
     def constant(self, value) -> Tensor:
         return Tensor(value)
@@ -149,6 +212,7 @@ class Tape:
                 acc = grads.get(uid)
                 grads[uid] = gi if acc is None else acc + gi
         self._known.clear()
+        self.workspace.release()
         return grads
 
 

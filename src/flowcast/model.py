@@ -11,6 +11,13 @@ one product and applies the powers to the gate outputs by Horner's
 rule, so no stack [Z, S Z, S^2 Z, ...] is built. One cell step is one tape
 record whose backward is derived by hand. All tensors are batched as
 [batch, nodes, channels].
+
+What a cell step keeps for backward (its gates ru, candidate c and new
+state) lives in slots of the recording tape's workspace (`autodiff.Workspace`),
+and its backward's largest temporaries in the workspace's scratch buffers.
+Training lends one workspace to every step of a run, so these arrays are
+allocated once per run. Inference records nothing and takes fresh arrays,
+each freed when the next step replaces it.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tape, Tensor
+from .autodiff import Tape, Tensor, Workspace
 from .errors import NumericalError
 from .graph import SensorGraph
 from .sparse import CsrMatrix
@@ -179,10 +186,12 @@ def init_params(config: Seq2SeqConfig, seed: int) -> DcgruParams:
 # ----------------------------------------------------------------------
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(out: np.ndarray) -> None:
+    """out <- 1 / (1 + exp(-out)), in place."""
     # exp may overflow for very negative inputs; 1/(1+inf) == 0 is the right limit
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        np.exp(np.negative(out, out=out), out=out)
+    np.divide(1.0, np.add(1.0, out, out=out), out=out)
 
 
 def _blocks(gates: Sequence[GateParams]) -> list[Tensor]:
@@ -220,11 +229,12 @@ def diffusion_conv(supports: DiffusionSupports, z: np.ndarray,
 
 
 def _diffusion_conv_backward(supports: DiffusionSupports, z: np.ndarray, gates: np.ndarray,
-                             g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                             g: np.ndarray, workspace: Workspace) -> tuple[np.ndarray, np.ndarray]:
     """(dz, dgates) of diffusion_conv for the output gradient g: with
-    G_{s,d} = (S_s^T)^d g side by side, dz = G gates^T and dgates = z^T G."""
+    G_{s,d} = (S_s^T)^d g side by side, dz = G gates^T and dgates = z^T G.
+    G and the per-window products z^T G are scratch buffers of `workspace`."""
     steps = supports.max_steps
-    back = np.empty(g.shape[:-1] + (gates.shape[1],))
+    back = workspace.scratch("back", g.shape[:-1] + (gates.shape[1],))
     blocks = _columns(back, g.shape[-1])
     for s, mat in enumerate(supports.matrices):
         for d, block in enumerate(blocks[s * steps:(s + 1) * steps]):
@@ -233,7 +243,8 @@ def _diffusion_conv_backward(supports: DiffusionSupports, z: np.ndarray, gates: 
     # one product per window, summed: as one [c, b*n] @ [b*n, k] product it is
     # big enough for OpenBLAS to thread, and the threads of two training
     # workers then fight over the cores (epochs 3.5x slower on 2 vCPUs)
-    dgates = np.matmul(z.swapaxes(-1, -2), back).sum(axis=0)
+    per_window = workspace.scratch("dgates", (z.shape[0], z.shape[-1], back.shape[-1]))
+    dgates = np.matmul(z.swapaxes(-1, -2), back, out=per_window).sum(axis=0)
     return back @ gates.T, dgates
 
 
@@ -244,30 +255,39 @@ def dcgru_cell(tape: Tape, x_t: Tensor, h_prev: Tensor, supports: DiffusionSuppo
     Reset and update gates share one filter over [x, h] with their blocks
     joined as [W_r | W_u]; the candidate filters [x, r*h]; the state is the
     convex blend u*h + (1-u)*c. Backward keeps only ru and c beside the
-    inputs, and rebuilds [x, h] and [x, r*h] from them.
+    inputs, and rebuilds [x, h] and [x, r*h] from them. ru, c and the new
+    state are written into `tape.buffer`s, which on a recording tape are
+    slots of the tape's workspace.
     """
     x, h = x_t.value, h_prev.value
     in_dim, units = x.shape[-1], h.shape[-1]
     ru_blocks, c_blocks = _blocks((cell.reset, cell.update)), _blocks((cell.candidate,))
     w_ru = np.concatenate([b.value for b in ru_blocks], axis=1)
     w_c = np.concatenate([b.value for b in c_blocks], axis=1)
-    ru = _sigmoid(diffusion_conv(supports, np.concatenate([x, h], axis=-1), w_ru)
-                  + np.concatenate([cell.reset.bias.value, cell.update.bias.value]))
+    lead = h.shape[:-1]
+    ru = np.add(diffusion_conv(supports, np.concatenate([x, h], axis=-1), w_ru),
+                np.concatenate([cell.reset.bias.value, cell.update.bias.value]),
+                out=tape.buffer(lead + (2 * units,)))
+    _sigmoid(ru)
     r, u = ru[..., :units], ru[..., units:]
-    c = np.tanh(diffusion_conv(supports, np.concatenate([x, r * h], axis=-1), w_c)
-                + cell.candidate.bias.value)
-    out = u * h + (1.0 - u) * c
+    c = np.add(diffusion_conv(supports, np.concatenate([x, r * h], axis=-1), w_c),
+               cell.candidate.bias.value, out=tape.buffer(lead + (units,)))
+    np.tanh(c, out=c)
+    blend = 1.0 - u
+    blend *= c
+    out = np.multiply(u, h, out=tape.buffer(lead + (units,)))
+    out += blend
     if not np.isfinite(out).all():
         raise NumericalError("numerical divergence")
 
     def backward(g):
         dc = g * (1.0 - u) * (1.0 - c * c)
         d_xrh, dw_c = _diffusion_conv_backward(supports, np.concatenate([x, r * h], axis=-1),
-                                               w_c, dc)
+                                               w_c, dc, tape.workspace)
         d_rh = d_xrh[..., in_dim:]
         d_ru = np.concatenate([d_rh * h, g * (h - c)], axis=-1) * ru * (1.0 - ru)
         d_xh, dw_ru = _diffusion_conv_backward(supports, np.concatenate([x, h], axis=-1),
-                                               w_ru, d_ru)
+                                               w_ru, d_ru, tape.workspace)
         return (d_xh[..., :in_dim] + d_xrh[..., :in_dim],
                 d_xh[..., in_dim:] + d_rh * r + g * u,
                 *_columns(dw_ru, units), *_columns(dw_c, units),

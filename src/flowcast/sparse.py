@@ -23,16 +23,21 @@ A product takes one of three paths, chosen from the matrix alone:
 - Gather. Larger matrices use the gather/segment-sum kernel and never build
   a dense copy.
 
-A batched [b, n, c] operand is multiplied in place on band blocks: each block
-is one BLAS call broadcast over the batch, written into a C-contiguous
-[b, rows, c] result. The other two paths fold it to one wide [n, b*c]
-operand through a transpose copy and return a strided view, which the op
-that consumes it reads slowly. Keeping the fold there was measured with the
-add of the DCGRU cell's Horner step as that consumer: broadcasting the single
-dense product lost 1.35x on an unbanded 300-node support at a batch of 21 and
-16 channels, and was even at 32 channels. With the earlier per-primitive
-cell, broadcasting took 3.8x the page faults on 15-node training steps, as
-glibc trimmed and re-grew the heap.
+A batched [b, n, c] operand is multiplied in place on band blocks, each
+block one BLAS call broadcast over the batch, and in a single dense product
+whose copy has at most BROADCAST_MAX_CELLS cells (n <= 256), the copy
+broadcast over the batch; both write a C-contiguous [b, rows, c] result.
+Larger single dense products and the gather kernel fold the operand into one
+wide [n, b*c] operand through a transpose copy and return a strided view,
+which the op that consumes it reads slowly. The cap comes from the product
+plus the DCGRU cell's Horner add that consumes it, on unbanded supports of
+density 0.1 at batches of 1, 21 and 64 and 16 or 32 channels: broadcasting
+took 0.22-1.05x the folded time up to 223 rows, 0.95-1.16x at 256 and
+0.98-1.23x at 300 (2-vCPU VM, one BLAS thread; BENCH_step_memory.json).
+At those widths the two results are bit-identical; at a width that is not a
+multiple of 8, such as 17 channels, they can differ in the last bits. Before
+training kept its saved arrays in a reused workspace, broadcasting cost page
+faults as glibc trimmed and re-grew the heap.
 
 On a 2-vCPU VM with one BLAS thread, the banded 300-node support took
 0.16 ms per product as one dense product and 0.06 ms in band blocks at 32
@@ -46,6 +51,9 @@ from __future__ import annotations
 import numpy as np
 
 DENSE_MAX_CELLS = 1 << 22
+# Largest dense copy that a batched operand is broadcast against in one dense
+# product (a square support of n = 256); larger ones fold the operand.
+BROADCAST_MAX_CELLS = 1 << 16
 # Row-block height of the band product: of 32, 48, 64 and 100 rows, 32 was the
 # fastest on the 300-node corridor support at 672 columns (0.90 against 1.09 ms
 # at 64 rows), and all four were within 15% of each other at 32 columns.
@@ -194,10 +202,12 @@ class CsrMatrix:
         otherwise in one BLAS product. Blocks skip only cells that are exactly
         zero, so both agree with the dense product up to summation order.
         Larger matrices use the gather/segment-sum kernel and never allocate
-        a dense copy. On band blocks a batched operand is multiplied in place,
-        each block broadcast over the batch into a C-contiguous [b, rows, c]
-        result whose every window equals its own 2-d product bit for bit; the
-        one dense product and the gather kernel fold it to [n, b*c] first.
+        a dense copy. A batched operand takes one of three paths: on band
+        blocks each block is broadcast over the batch, and a single dense
+        product of at most BROADCAST_MAX_CELLS cells broadcasts the dense
+        copy, each into a C-contiguous [b, rows, c] result whose every window
+        equals its own 2-d product bit for bit; a larger single dense product
+        and the gather kernel fold it to [n, b*c] first.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim not in (2, 3):
@@ -211,7 +221,7 @@ class CsrMatrix:
             for lo, hi, col_lo, col_hi, view in blocks:
                 np.matmul(view, x[..., col_lo:col_hi, :], out=out[..., lo:hi, :])
             return out
-        if x.ndim == 2:
+        if x.ndim == 2 or self.rows * self.cols <= BROADCAST_MAX_CELLS:
             return self._matmul2(x, transpose)
         b, n, c = x.shape
         flat = x.transpose(1, 0, 2).reshape(n, b * c)
@@ -231,7 +241,8 @@ class CsrMatrix:
         return self._blocks[transpose]
 
     def _matmul2(self, x: np.ndarray, transpose: bool) -> np.ndarray:
-        """One dense product (the copy is cached by _band) or the gather kernel."""
+        """One dense product (the copy is cached by _band; a batched x up to
+        BROADCAST_MAX_CELLS broadcasts it) or the gather kernel on a 2-d x."""
         if self._use_dense_kernel():
             return (self._dense.T if transpose else self._dense) @ x
         return (self.transpose() if transpose else self)._gather_matmul(x)

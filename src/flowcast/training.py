@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tape, grads_for
+from .autodiff import Tape, Workspace, grads_for
 from .data import (FeatureScaler, TimeSeriesPanel, WindowedDataset, fit_scaler,
                    inverse_transform, make_windows, read_array_container,
                    slice_for_partition, transform, transform_values,
@@ -247,6 +247,7 @@ def train_partition(bundle: SubgraphBundle, train_windows: WindowedDataset,
     since_best = 0
     lr = config.learning_rate
     iteration = 0
+    workspace = Workspace()
     start_wall = time.perf_counter()
     report.initial_valid = _batched_loss(params, supports, valid_windows, config.batch_size)
     for epoch in range(config.epochs):
@@ -259,7 +260,7 @@ def train_partition(bundle: SubgraphBundle, train_windows: WindowedDataset,
         for lo in range(0, perm.size, config.batch_size):
             idx = perm[lo:lo + config.batch_size]
             epsilon = scheduled_sampling_epsilon(iteration, config.sampling_tau)
-            tape = Tape()
+            tape = Tape(workspace=workspace)
             loss, _ = seq2seq_loss(tape, params, supports, x[idx], y[idx],
                                    epsilon=epsilon, rng=loop_rng)
             if not np.isfinite(loss.value):

@@ -5,12 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from flowcast.autodiff import Tape, Tensor, grads_for
+from flowcast.autodiff import Tape, Tensor, Workspace, grads_for
 from flowcast.errors import NumericalError
 from flowcast.graph import SensorGraph
 from flowcast.model import (CellParams, GateParams, Seq2SeqConfig,
                             build_supports, dcgru_cell, decode, diffusion_conv, encode,
                             init_params, loss_multi, predict, seq2seq_loss)
+from flowcast.optim import AdamState, adam_step, clip_by_global_norm
 from oracles import (ComposedTape, assert_backward_matches_oracle, assert_grads_close,
                      composed_cell, csr_from_dense, dense_diffusion, finite_difference)
 
@@ -178,12 +179,14 @@ def _assert_close_relative(got, want, tol=1e-12):
 
 @pytest.mark.parametrize("filter_type", ["random_walk", "dual_random_walk"])
 @pytest.mark.parametrize("steps", [1, 2, 3])
-@pytest.mark.parametrize("in_dim", [1, 2])
+@pytest.mark.parametrize("in_dim", [1, 2, 3])
 @pytest.mark.parametrize("batch", [1, 3])
 def test_cell_matches_composed_oracle(filter_type, steps, in_dim, batch):
     # two steps on one tape: the input is recorded (as a decoder's previous
     # projection is), is read by both steps, and the second step's state is
-    # the first step's output; value and every leaf gradient at 1e-12 relative
+    # the first step's output; value and every leaf gradient at 1e-12 relative.
+    # At in_dim 3, [x, h] has as many channels as the graph has nodes, so the
+    # backward's two scratch buffers have the same shape
     rng = np.random.default_rng(100 * steps + 10 * in_dim + batch)
     n, units = 6, 3
     dense = np.where(rng.uniform(size=(n, n)) < 0.5, rng.uniform(0.1, 1.0, (n, n)), 0.0)
@@ -421,6 +424,79 @@ def test_predict_does_not_retain_activations():
     predict(params, sup, window)  # build the supports' cached dense copies first
     ratio = _traced_peak(lambda: predict(params, sup, window)) / _traced_peak(recorded)
     assert ratio < 0.25, f"predict peaks at {ratio:.2f} of a recording forward"
+
+
+def _step_setup(seed=5, n=10, units=8, lookback=6, horizon=6, samples=21):
+    rng = np.random.default_rng(seed)
+    dense = np.where(rng.uniform(size=(n, n)) < 0.3, rng.uniform(0.2, 1.0, (n, n)), 0.0)
+    np.fill_diagonal(dense, 0.0)
+    cfg = Seq2SeqConfig(lookback=lookback, horizon=horizon, layers=2, units=units,
+                        filter_type="dual_random_walk")
+    sup = build_supports(graph_of(dense), cfg.filter_type, 2)
+    x = rng.normal(size=(samples, lookback, n, 1))
+    y = rng.normal(size=(samples, horizon, n, 1))
+    return cfg, sup, x, y
+
+
+def _train_step(tape, params, sup, state, x, y, rng) -> list[np.ndarray]:
+    """One step as train_partition takes it: forward, backward, clip, Adam."""
+    loss, _ = seq2seq_loss(tape, params, sup, x, y, epsilon=0.5, rng=rng)
+    grads = clip_by_global_norm(grads_for(tape.backward(loss), params.tensors()), 5.0)
+    adam_step(params.values(), grads, state, 0.01)
+    return grads
+
+
+def test_steps_through_one_workspace_match_fresh_tapes():
+    # full, partial, then full batch through one workspace: every step's
+    # gradients equal those of a tape with its own workspace, bit for bit, and
+    # the partial batch reuses the full batch's buffers as leading-axis views
+    cfg, sup, x, y = _step_setup()
+    runs = []
+    for workspace in (None, Workspace()):
+        params = init_params(cfg, seed=2)
+        state, rng = AdamState.for_params(params.values()), np.random.default_rng(9)
+        grads, buffers = [], []
+        for lo, hi in ((0, 8), (8, 13), (13, 21)):
+            grads.append(_train_step(Tape(workspace=workspace), params, sup, state,
+                                     x[lo:hi], y[lo:hi], rng))
+            if workspace is not None:
+                buffers.append(dict(workspace._buffers))
+        runs.append(grads)
+        if workspace is not None:
+            for later in buffers[1:]:  # the same arrays, none added
+                assert later.keys() == buffers[0].keys()
+                assert all(later[k] is a for k, a in buffers[0].items())
+    for fresh, shared in zip(*runs):
+        for g, h in zip(fresh, shared):
+            assert np.array_equal(g, h)
+
+
+def test_workspace_is_lent_to_one_tape_until_its_backward():
+    cfg, sup, x, y = _step_setup()
+    params = init_params(cfg, seed=2)
+    workspace = Workspace()
+    tape = Tape(workspace=workspace)
+    loss, _ = seq2seq_loss(tape, params, sup, x[:4], y[:4])
+    with pytest.raises(RuntimeError, match="not run backward"):
+        Tape(workspace=workspace)
+    tape.backward(loss)
+    Tape(workspace=workspace)  # free again
+    Tape(record=False, workspace=workspace)  # a tape that records nothing borrows nothing
+
+
+def test_training_step_allocates_less_than_its_saved_activations():
+    # after a warm-up step, the arrays each cell step keeps for backward live
+    # in the workspace, so a step's peak allocation stays below their bytes
+    cfg, sup, x, y = _step_setup(samples=16)
+    params = init_params(cfg, seed=2)
+    state, rng = AdamState.for_params(params.values()), np.random.default_rng(9)
+    workspace = Workspace()
+    _train_step(Tape(workspace=workspace), params, sup, state, x, y, rng)
+    # ru, c and the new state: 4 * units channels per window and node, per cell step
+    saved = cfg.layers * (cfg.lookback + cfg.horizon) * len(x) * x.shape[2] * 4 * cfg.units * 8
+    peak = _traced_peak(lambda: _train_step(Tape(workspace=workspace), params, sup, state,
+                                            x, y, rng))
+    assert peak < saved, f"a step peaks at {peak} bytes, its saved activations take {saved}"
 
 
 def test_permutation_equivariance():

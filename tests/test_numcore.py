@@ -7,7 +7,7 @@ import pytest
 
 from flowcast.autodiff import Tape, Tensor, grads_for
 from flowcast.optim import AdamState, adam_step, clip_by_global_norm, global_norm
-from flowcast.sparse import DENSE_MAX_CELLS, CsrMatrix
+from flowcast.sparse import BROADCAST_MAX_CELLS, DENSE_MAX_CELLS, CsrMatrix
 
 from oracles import (ComposedTape, assert_backward_matches_oracle, assert_grads_close,
                      csr_from_dense, csr_identity, finite_difference)
@@ -182,6 +182,8 @@ def test_unbanded_order_and_small_matrix_take_one_dense_product():
         x = rng.normal(size=(n, 7))
         assert np.array_equal(m.matmul(x), a @ x)
         assert np.array_equal(m.matmul(x, transpose=True), a.T @ x)
+        if a.size <= BROADCAST_MAX_CELLS:
+            continue  # a batched operand broadcasts the copy (next test)
         # a batched operand is still folded into one wide product
         for b, c in ((1, 1), (2, 17), (21, 17)):
             x = rng.normal(size=(b, n, c))
@@ -189,6 +191,35 @@ def test_unbanded_order_and_small_matrix_take_one_dense_product():
             for transpose, op in ((False, a), (True, a.T)):
                 want = (op @ flat).reshape(n, b, c).transpose(1, 0, 2)
                 assert np.array_equal(m.matmul(x, transpose=transpose), want)
+
+
+@pytest.mark.parametrize("n", [15, 200, 300])
+def test_batched_dense_product_broadcasts_up_to_the_cap(n):
+    # up to BROADCAST_MAX_CELLS a batched operand multiplies the dense copy in
+    # place, broadcast over the batch into a C-contiguous [b, n, c] result
+    # whose every window is the 2-d product of that window, bit for bit; a
+    # larger copy (300 rows) folds it into one wide product as before
+    rng = np.random.default_rng(47 + n)
+    a = np.where(rng.uniform(size=(n, n)) < 0.1, rng.uniform(size=(n, n)), 0.0)
+    m = csr_from_dense(a)
+    assert (n * n <= BROADCAST_MAX_CELLS) == (n < 256)
+    for transpose in (False, True):
+        for b in (1, 21, 64):
+            for c in (1, 16, 17):
+                # a column block of a wider array, as the Horner step's operands are
+                x = rng.normal(size=(b, n, 3 * c))[..., c:2 * c]
+                got = m.matmul(x, transpose=transpose)
+                assert m._band(transpose) is None and got.shape == (b, n, c)
+                if n * n <= BROADCAST_MAX_CELLS:
+                    assert got.flags.c_contiguous
+                    for i in range(b):
+                        assert np.array_equal(got[i], m.matmul(x[i], transpose=transpose))
+                else:
+                    flat = x.transpose(1, 0, 2).reshape(n, -1)
+                    op = a.T if transpose else a
+                    assert np.array_equal(got, (op @ flat).reshape(n, b, c).transpose(1, 0, 2))
+                assert np.abs(got - np.einsum("ij,bjc->bic", a.T if transpose else a, x)
+                              ).max() <= 1e-12
 
 
 def test_csr_rejects_corrupt_index_arrays():
