@@ -39,6 +39,13 @@ multiple of 8, such as 17 channels, they can differ in the last bits. Before
 training kept its saved arrays in a reused workspace, broadcasting cost page
 faults as glibc trimmed and re-grew the heap.
 
+A matrix is safe to share between threads, as `training.forecast` shares a
+checkpoint's supports across its blocks of windows. Its two caches (the
+transpose, and the dense copy with its band blocks) are each built into
+locals on first use and published in one attribute assignment, so a thread
+sees either no cache or a whole one; two threads that both miss build equal
+copies.
+
 On a 2-vCPU VM with one BLAS thread, the banded 300-node support took
 0.16 ms per product as one dense product and 0.06 ms in band blocks at 32
 columns (medians of six runs). For a batch of 21 windows, the product plus
@@ -78,8 +85,7 @@ def _band_blocks(a: np.ndarray):
 
 
 class CsrMatrix:
-    __slots__ = ("rows", "cols", "indptr", "indices", "data", "_transpose", "_dense",
-                 "_blocks")
+    __slots__ = ("rows", "cols", "indptr", "indices", "data", "_transpose", "_dense")
 
     def __init__(self, rows: int, cols: int, indptr, indices, data):
         self.rows = int(rows)
@@ -88,8 +94,7 @@ class CsrMatrix:
         self.indices = np.asarray(indices, dtype=np.int64)
         self.data = np.asarray(data, dtype=np.float64)
         self._transpose = None
-        self._dense = None
-        self._blocks = None  # band blocks of (S, S^T) over _dense, None entries fall back
+        self._dense = None  # (dense copy, band blocks of S, of S^T); None blocks fall back
         if self.indptr.shape != (self.rows + 1,):
             raise ValueError("indptr length must be rows+1")
         if self.indices.ndim != 1 or self.indices.shape != self.data.shape:
@@ -232,19 +237,21 @@ class CsrMatrix:
 
     def _band(self, transpose: bool):
         """The band blocks of S (or S^T), or None. On first use by a matrix on
-        the dense kernel, caches the dense copy and the block lists of both."""
+        the dense kernel, caches the dense copy and the block lists of both,
+        published together in one assignment (see the module docstring)."""
         if not self._use_dense_kernel():
             return None
         if self._dense is None:
-            self._dense = self.to_dense()
-            self._blocks = (_band_blocks(self._dense), _band_blocks(self._dense.T))
-        return self._blocks[transpose]
+            dense = self.to_dense()
+            self._dense = (dense, _band_blocks(dense), _band_blocks(dense.T))
+        return self._dense[1 + transpose]
 
     def _matmul2(self, x: np.ndarray, transpose: bool) -> np.ndarray:
         """One dense product (the copy is cached by _band; a batched x up to
         BROADCAST_MAX_CELLS broadcasts it) or the gather kernel on a 2-d x."""
         if self._use_dense_kernel():
-            return (self._dense.T if transpose else self._dense) @ x
+            dense = self._dense[0]
+            return (dense.T if transpose else dense) @ x
         return (self.transpose() if transpose else self)._gather_matmul(x)
 
     def _gather_matmul(self, x: np.ndarray) -> np.ndarray:

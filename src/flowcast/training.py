@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -31,7 +32,13 @@ from .partition import SubgraphBundle
 from .sparse import CsrMatrix
 from .tables import write_table
 
-_EVAL_BATCH = 256  # windows per predict() call in forecast()
+# Window-node rows per predict() call in forecast(): a block's [rows, channels]
+# arrays then stay near L2 size. On the 300-node forecast_bay300 set-up (2-vCPU
+# VM, one BLAS thread) blocks alone made 256 windows 1.4-1.8x faster.
+_BLOCK_ROWS = 4096
+# Windows per forecast() call and per partial error sum in evaluate(); the MAE's
+# bits depend on it, as the sums are added in this grouping.
+_EVAL_BATCH = 256
 MODE_FEATURES = {"speed_only": ("speed",), "flow_only": ("flow",),
                  "multioutput": ("speed", "flow")}  # each mode's input = output features
 
@@ -174,6 +181,10 @@ class Checkpoint:
             expected = [(n, t.value.shape) for n, t in init_params(config, seed=0).named()]
             if [(n, p.shape) for n, p in zip(meta["param_names"], params)] != expected:
                 raise DataError(f"{path}: parameter names or shapes do not match the config")
+            # training and fit_scaler never write these, so each marks a corrupt file
+            for name, p in zip(meta["param_names"], params):
+                if not np.isfinite(p).all():
+                    raise DataError(f"{path}: parameter {name} is not finite")
             if meta["n_supports"] != config.n_supports:
                 raise DataError(f"{path}: {meta['n_supports']} supports, the config's filter "
                                 f"takes {config.n_supports}")
@@ -184,6 +195,8 @@ class Checkpoint:
                 if not rows == cols == len(sensor_ids):
                     raise DataError(f"{path}: support {i} is {rows}x{cols}, "
                                     f"not sized to {len(sensor_ids)} sensors")
+                if not np.isfinite(arrays[f"s{i}_data"]).all():
+                    raise DataError(f"{path}: support {i} data is not finite")
                 supports.append(CsrMatrix(int(rows), int(cols), arrays[f"s{i}_indptr"],
                                           arrays[f"s{i}_indices"], arrays[f"s{i}_data"]))
             halo = arrays["halo_flags"].astype(bool)
@@ -194,6 +207,10 @@ class Checkpoint:
                                    tuple(meta["scaler"]["feature_names"]))
             if not scaler.means.shape == scaler.stds.shape == (len(scaler.feature_names),):
                 raise DataError(f"{path}: scaler means and stds are not one per feature")
+            if not np.isfinite(scaler.means).all():
+                raise DataError(f"{path}: scaler means are not finite")
+            if not (np.isfinite(scaler.stds).all() and (scaler.stds > 0).all()):
+                raise DataError(f"{path}: scaler stds are not finite and positive")
             return cls(config, list(meta["param_names"]), params,
                        scaler, sensor_ids, halo, supports,
                        tuple(meta["input_features"]), tuple(meta["output_features"]),
@@ -403,21 +420,58 @@ def write_training_summary(path, results: list[PartitionResult]) -> None:
 # ----------------------------------------------------------------------
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def forecast(checkpoint: Checkpoint, windows: np.ndarray) -> np.ndarray:
     """One window [lookback, nodes, P] or a batch [b, lookback, nodes, P] in
     original units -> [horizon, nodes, Q] or [b, horizon, nodes, Q] in original
-    units, predicted _EVAL_BATCH windows at a time."""
+    units.
+
+    A batch is predicted in contiguous blocks of whole windows, each of about
+    _BLOCK_ROWS window-node rows or one window. The split depends only on the
+    batch's window and node counts. When there is more than one block, the
+    blocks run on a thread pool sized to the CPUs this process may use (numpy
+    releases the GIL in its loops and products) while the caller waits, and
+    the pool is shut down before forecast returns or raises. An exception
+    from any block reaches the caller unchanged.
+
+    A window's forecast is bit-identical whatever batch it came in, on band
+    blocks and on the broadcast dense product. The folded dense product of an
+    unbanded support above BROADCAST_MAX_CELLS cells (sparse) keeps this only
+    at channel widths that are a multiple of 8, such as every width the
+    default 16-unit model diffuses; at other widths its last bits can depend
+    on the batch.
+    """
     cfg = checkpoint.config
     windows = np.asarray(windows, dtype=np.float64)
     expected = (cfg.lookback, len(checkpoint.sensor_ids), cfg.input_dim)
     if windows.ndim not in (3, 4) or windows.shape[-3:] != expected or not windows.size:
         raise DataError(f"window shape {windows.shape} does not match checkpoint {expected}")
     params, supports = checkpoint.build_model()
-    z = transform_values(windows.reshape(-1, *expected), checkpoint.scaler,
-                         checkpoint.input_features)
-    pred = np.concatenate([predict(params, supports, z[lo:lo + _EVAL_BATCH])
-                           for lo in range(0, len(z), _EVAL_BATCH)])
-    pred = inverse_transform(pred, checkpoint.scaler, checkpoint.output_features)
+    batch = windows.reshape(-1, *expected)
+    b, nodes = len(batch), expected[1]
+    n_blocks = min(b, -(-b * nodes // _BLOCK_ROWS))
+    bounds = [b * i // n_blocks for i in range(n_blocks + 1)]
+    pred = np.empty((b, cfg.horizon, nodes, cfg.output_dim))
+
+    def predict_block(i: int) -> None:
+        lo, hi = bounds[i], bounds[i + 1]
+        z = transform_values(batch[lo:hi], checkpoint.scaler, checkpoint.input_features)
+        pred[lo:hi] = inverse_transform(predict(params, supports, z), checkpoint.scaler,
+                                        checkpoint.output_features)
+
+    threads = min(n_blocks, _usable_cpus())
+    if threads == 1:
+        for i in range(n_blocks):
+            predict_block(i)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(predict_block, range(n_blocks)))
     return pred.reshape(windows.shape[:-3] + pred.shape[1:])
 
 

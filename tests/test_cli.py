@@ -1,6 +1,7 @@
 """End-to-end pipeline through the command-line interface."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -554,6 +555,77 @@ def test_corrupt_checkpoint_exits_3(trained, capsys, tmp_path, corruption):
     code = main(["evaluate", "--config", config, "--set", f"paths.output_dir={out_dir}"])
     out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert code == 3 and out["kind"] == "data" and "part000" in out["message"]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "forecast"])
+@pytest.mark.parametrize("corruption, field", [
+    ("parameter nan", "parameter"),  # exited 4, numerical divergence
+    ("parameter inf", "parameter"),  # exited 0 with a finite MAE
+    ("std 0", "scaler stds"),  # exited 4, and evaluate warned on stderr
+    ("std nan", "scaler stds"),
+    ("mean inf", "scaler means"),
+    ("support nan", "support 0"),
+    ("support inf", "support 0"),
+])
+def test_non_finite_checkpoint_exits_3(trained, capsys, tmp_path, command, corruption, field):
+    root, config = trained
+    import shutil
+
+    from flowcast.data import read_array_container, write_array_container
+
+    out_dir = tmp_path / "out"
+    shutil.copytree(root / "out", out_dir)
+    path = out_dir / "checkpoints" / "part000.fcbin"
+    arrays, meta = read_array_container(path)
+    bad = math.nan if "nan" in corruption else math.inf
+    if corruption.startswith("parameter"):
+        arrays["p0002"].flat[1] = bad
+    elif corruption.startswith("support"):
+        arrays["s0_data"][3] = bad
+    elif corruption.startswith("std"):
+        meta["scaler"]["stds"][0] = 0.0 if corruption == "std 0" else bad
+    else:
+        meta["scaler"]["means"][0] = bad
+    write_array_container(path, arrays, meta)
+    code = main([command, "--config", config, "--set", f"paths.output_dir={out_dir}"])
+    captured = capsys.readouterr()
+    lines = captured.out.strip().splitlines()
+    out = json.loads(lines[-1])
+    assert code == 3 and out["kind"] == "data" and len(lines) == 1
+    assert out["message"].startswith(f"{path}: {field}") and captured.err == ""
+
+
+def test_failing_forecast_block_exits_4_and_leaves_no_thread(trained, capsys, monkeypatch,
+                                                             tmp_path):
+    # the test split predicted in several blocks on two threads; the second
+    # block's NumericalError reaches the CLI as exit 4 and one JSON line
+    import itertools
+    import shutil
+    import threading
+
+    from flowcast import training
+    from flowcast.errors import NumericalError
+
+    root, config = trained
+    shutil.copytree(root / "out", tmp_path / "out")
+    calls, counts, original = itertools.count(), [], training.predict
+
+    def failing_predict(params, supports, z):
+        counts.append(threading.active_count())
+        if next(calls) == 1:
+            raise NumericalError("numerical divergence")
+        return original(params, supports, z)
+
+    monkeypatch.setattr(training, "predict", failing_predict)
+    monkeypatch.setattr(training, "_BLOCK_ROWS", 64)
+    monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+    before = threading.active_count()
+    code = main(["evaluate", "--config", config, "--set", f"paths.output_dir={tmp_path / 'out'}"])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 4 and len(lines) == 1
+    out = json.loads(lines[0])
+    assert out["kind"] == "numerical" and out["message"] == "numerical divergence"
+    assert max(counts) > before and threading.active_count() == before
 
 
 def _corrupt_graph(text, corruption):

@@ -122,10 +122,10 @@ def test_banded_support_multiplies_in_band_blocks():
     rng = np.random.default_rng(31)
     dense = _banded(rng, 300)
     m = _assert_products_match_dense(dense, rng)
-    for blocks, a in zip(m._blocks, (dense, dense.T)):
+    for blocks, a in zip(m._dense[1:], (dense, dense.T)):
         assert blocks is not None
         for lo, hi, col_lo, col_hi, view in blocks:
-            assert np.shares_memory(view, m._dense)
+            assert np.shares_memory(view, m._dense[0])
             rest = np.delete(a[lo:hi], np.s_[col_lo:col_hi], axis=1)
             assert not rest.any()  # only exact zeros are skipped
         assert sum((hi - lo) * (c1 - c0) for lo, hi, c0, c1, _ in blocks) * 2 <= dense.size
@@ -146,8 +146,8 @@ def test_band_with_halo_tail_and_empty_block():
     rng = np.random.default_rng(37)
     dense = _halo_tailed(rng)
     m = _assert_products_match_dense(dense, rng)
-    assert m._blocks[0] is not None and m._blocks[1] is not None
-    assert (96, 128, 0, 0) in [b[:4] for b in m._blocks[0]]
+    assert m._dense[1] is not None and m._dense[2] is not None
+    assert (96, 128, 0, 0) in [b[:4] for b in m._dense[1]]
     assert not m.matmul(rng.normal(size=(300, 4)))[96:128].any()
 
 
@@ -177,7 +177,7 @@ def test_unbanded_order_and_small_matrix_take_one_dense_product():
     small = _banded(rng, 32, width=4, density=0.8)
     for a in (dense, small):
         m = _assert_products_match_dense(a, rng)
-        assert m._blocks == (None, None)
+        assert m._dense[1:] == (None, None)
         n = a.shape[0]
         x = rng.normal(size=(n, 7))
         assert np.array_equal(m.matmul(x), a @ x)
@@ -220,6 +220,60 @@ def test_batched_dense_product_broadcasts_up_to_the_cap(n):
                     assert np.array_equal(got, (op @ flat).reshape(n, b, c).transpose(1, 0, 2))
                 assert np.abs(got - np.einsum("ij,bjc->bic", a.T if transpose else a, x)
                               ).max() <= 1e-12
+
+
+@pytest.mark.parametrize("banded", [True, False])
+def test_first_products_from_two_threads_share_the_dense_cache(monkeypatch, banded):
+    # the first thread to multiply stops inside the block search, between
+    # building the dense copy and caching the block lists; a second thread
+    # that multiplies meanwhile must not find a half-built cache
+    import threading
+    import time
+
+    from flowcast import sparse
+
+    rng = np.random.default_rng(53)
+    dense = _banded(rng, 300)
+    if not banded:
+        order = rng.permutation(300)
+        dense = dense[np.ix_(order, order)]
+    m = csr_from_dense(dense)
+    x = rng.normal(size=(2, 300, 8))
+    entered, release = [], threading.Event()
+    original = sparse._band_blocks
+
+    def slow_band_blocks(a):
+        entered.append(a.shape)
+        release.wait(timeout=10)
+        return original(a)
+
+    monkeypatch.setattr(sparse, "_band_blocks", slow_band_blocks)
+    results, errors = {}, []
+
+    def multiply(name):
+        try:
+            results[name] = m.matmul(x)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    first = threading.Thread(target=multiply, args=("first",))
+    second = threading.Thread(target=multiply, args=("second",))
+    first.start()
+    deadline = time.monotonic() + 10
+    while not entered and time.monotonic() < deadline:
+        time.sleep(0.001)
+    second.start()
+    while second.is_alive() and len(entered) < 2 and time.monotonic() < deadline:
+        time.sleep(0.001)  # until the second thread fails or waits in the block search too
+    release.set()
+    for t in (first, second):
+        t.join(timeout=10)
+        assert not t.is_alive()
+    assert errors == []
+    want = np.einsum("ij,bjc->bic", dense, x)
+    for got in results.values():
+        assert np.abs(got - want).max() <= 1e-12
+    assert (m._dense[1] is not None) == banded and sorted(results) == ["first", "second"]
 
 
 def test_csr_rejects_corrupt_index_arrays():

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import flowcast.sparse as sparse_mod
 import flowcast.training as training_mod
 from flowcast.data import TICK, FeatureScaler, TimeSeriesPanel, slice_for_partition
 from flowcast.errors import ConfigError, DataError
@@ -213,30 +214,141 @@ def test_forecast_applies_inverse_transform():
     assert np.allclose(pred, 30.0 + 2.0 * 4.0)  # beta in normalized space
 
 
-def test_forecast_of_a_batch_equals_its_windows_forecast_one_by_one(monkeypatch):
-    """Random weights, two scaled features, and a 70-node path graph, whose
-    support takes the band-block product; more windows than one predict call."""
-    n = 70
-    path = np.zeros((n, n))
-    path[np.arange(n - 1), np.arange(1, n)] = path[np.arange(1, n), np.arange(n - 1)] = 1.0
-    g = graph_of(path)
-    cfg = Seq2SeqConfig(input_dim=2, output_dim=2, lookback=3, horizon=2, layers=2, units=4)
+def _random_checkpoint(adjacency, units):
+    """Random weights and two scaled features on one whole graph."""
+    g = graph_of(adjacency)
+    n = g.n_nodes
+    cfg = Seq2SeqConfig(input_dim=2, output_dim=2, lookback=3, horizon=2, layers=2, units=units)
     params = init_params(cfg, seed=5)
     from flowcast.model import build_supports
-    ckpt = Checkpoint(cfg, [name for name, _ in params.named()], params.values(),
-                      FeatureScaler(np.array([55.0, 80.0]), np.array([6.0, 9.0]),
-                                    ("speed", "flow")),
+    features = ("speed", "flow")
+    return Checkpoint(cfg, [name for name, _ in params.named()], params.values(),
+                      FeatureScaler(np.array([55.0, 80.0]), np.array([6.0, 9.0]), features),
                       list(g.sensor_ids), np.zeros(n, bool),
-                      build_supports(g, "random_walk", 2).matrices,
-                      ("speed", "flow"), ("speed", "flow"))
+                      build_supports(g, "random_walk", 2).matrices, features, features)
+
+
+def _path_graph(n):
+    path = np.zeros((n, n))
+    path[np.arange(n - 1), np.arange(1, n)] = path[np.arange(1, n), np.arange(n - 1)] = 1.0
+    return path
+
+
+def _unbanded_graph(n):
+    rng = np.random.default_rng(n)
+    return np.where(rng.uniform(size=(n, n)) < 0.1, rng.uniform(size=(n, n)), 0.0)
+
+
+@pytest.mark.parametrize("adjacency, units, product", [
+    (_path_graph(70), 4, "band blocks"),
+    (_unbanded_graph(60), 4, "broadcast dense product"),
+    (_unbanded_graph(300), 16, "folded dense product"),
+], ids=["band", "broadcast", "fold"])
+def test_forecast_of_a_batch_equals_its_windows_forecast_one_by_one(monkeypatch, adjacency,
+                                                                    units, product):
+    """A batch split into several blocks, on each product path a block can
+    take, equals each window's forecast alone bit for bit, whether the blocks
+    run on one thread or two."""
+    ckpt = _random_checkpoint(adjacency, units)
+    n = len(ckpt.sensor_ids)
+    s = ckpt.supports[0]
+    assert (s._band(False) is not None) == (product == "band blocks")
+    assert (n * n > sparse_mod.BROADCAST_MAX_CELLS) == (product == "folded dense product")
     windows = np.random.default_rng(4).normal(60.0, 8.0, size=(5, 3, n, 2))
-    monkeypatch.setattr(training_mod, "_EVAL_BATCH", 2)
-    batch = forecast(ckpt, windows)
-    assert batch.shape == (5, 2, n, 2)
-    assert np.array_equal(batch, np.stack([forecast(ckpt, w) for w in windows]))
+    monkeypatch.setattr(training_mod, "_BLOCK_ROWS", 2 * n)  # blocks of 1 or 2 windows
+    alone = np.stack([forecast(ckpt, w) for w in windows])
+    for cpus in (1, 2):
+        monkeypatch.setattr(training_mod, "_usable_cpus", lambda: cpus)
+        batch = forecast(ckpt, windows)
+        assert batch.shape == (5, 2, n, 2)
+        assert batch.tobytes() == alone.tobytes()
     for wrong_rank in (windows[None], windows[0, 0]):
         with pytest.raises(DataError, match="window shape"):
             forecast(ckpt, wrong_rank)
+
+
+def test_forecast_splits_by_rows_not_by_cpus(monkeypatch):
+    """Blocks of whole windows, about _BLOCK_ROWS window-node rows each, one
+    predict call per block: on the caller with one CPU, else on a pool of at
+    most one thread per CPU."""
+    import threading
+
+    ckpt = _random_checkpoint(_path_graph(70), 4)
+    windows = np.random.default_rng(6).normal(60.0, 8.0, size=(21, 3, 70, 2))
+    sizes, threads, counts = [], set(), []
+
+    def recording_predict(params, supports, z):
+        sizes.append(len(z))
+        threads.add(threading.get_ident())
+        counts.append(threading.active_count())
+        return predict(params, supports, z)
+
+    from flowcast.model import predict
+    monkeypatch.setattr(training_mod, "predict", recording_predict)
+    monkeypatch.setattr(training_mod, "_BLOCK_ROWS", 300)  # 1470 rows: 5 blocks
+    before = threading.active_count()
+    for cpus in (1, 2, 64):
+        monkeypatch.setattr(training_mod, "_usable_cpus", lambda: cpus)
+        sizes.clear()
+        threads.clear()
+        counts.clear()
+        forecast(ckpt, windows)
+        assert sorted(sizes) == [4, 4, 4, 4, 5]
+        assert (threading.get_ident() in threads) == (cpus == 1)
+        assert (max(counts) > before) == (cpus > 1)
+        assert len(threads) <= min(cpus, 5) and max(counts) <= before + min(cpus, 5)
+    sizes.clear()
+    threads.clear()
+    forecast(ckpt, windows[:4])  # 280 rows: one block, on the caller's thread
+    assert sizes == [4] and threads == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_failing_block_raises_unchanged_and_leaves_no_thread(monkeypatch, cpus):
+    import threading
+
+    from flowcast.errors import NumericalError
+
+    ckpt = _random_checkpoint(_path_graph(70), 4)
+    windows = np.random.default_rng(7).normal(60.0, 8.0, size=(6, 3, 70, 2))
+    windows[4, 1, 10, 0] = np.nan  # the last of three blocks diverges
+    monkeypatch.setattr(training_mod, "_BLOCK_ROWS", 140)
+    monkeypatch.setattr(training_mod, "_usable_cpus", lambda: cpus)
+    before = threading.active_count()
+    assert forecast(ckpt, windows[:4]).shape == (4, 2, 70, 2)
+    assert threading.active_count() == before
+    with pytest.raises(NumericalError, match="numerical divergence"):
+        forecast(ckpt, windows)
+    assert threading.active_count() == before
+
+
+def test_usable_cpus_follow_the_affinity_set(monkeypatch):
+    monkeypatch.setattr(training_mod.os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                        raising=False)
+    assert training_mod._usable_cpus() == 3
+    monkeypatch.delattr(training_mod.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(training_mod.os, "cpu_count", lambda: 6)
+    assert training_mod._usable_cpus() == 6
+
+
+def test_many_threads_first_use_of_fresh_supports_stress(monkeypatch):
+    """More pool threads than cores and a short switch interval; each round
+    forecasts on a fresh checkpoint, so its blocks race to fill the supports'
+    dense caches, and must still equal the one-thread forecast bit for bit."""
+    import sys
+
+    windows = np.random.default_rng(8).normal(60.0, 8.0, size=(8, 3, 70, 2))
+    monkeypatch.setattr(training_mod, "_BLOCK_ROWS", 70)  # one window per block
+    monkeypatch.setattr(training_mod, "_usable_cpus", lambda: 1)
+    want = forecast(_random_checkpoint(_path_graph(70), 4), windows).tobytes()
+    monkeypatch.setattr(training_mod, "_usable_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            assert forecast(_random_checkpoint(_path_graph(70), 4), windows).tobytes() == want
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_evaluate_exact_mae_and_halo_exclusion():
