@@ -12,6 +12,10 @@ rule, so no stack [Z, S Z, S^2 Z, ...] is built. One cell step is one tape
 record whose backward is derived by hand. All tensors are batched as
 [batch, nodes, channels].
 
+A cell stores each filter as that joined matrix (`CellParams`): blocks
+W_{s,d} side by side in (support, step) order, each reset/update block itself
+[W_r | W_u], so a step joins no parameters and returns one gradient per array.
+
 What a cell step keeps for backward (its gates ru, candidate c and new
 state) lives in slots of the recording tape's workspace (`autodiff.Workspace`),
 and its backward's largest temporaries in the workspace's scratch buffers.
@@ -24,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -69,16 +72,17 @@ def build_supports(graph: SensorGraph, filter_type: str = "random_walk",
 
 
 @dataclass
-class GateParams:
-    blocks: list[list[Tensor]]  # [support][step] each (in_dim + units) x units
-    bias: Tensor
-
-
-@dataclass
 class CellParams:
-    reset: GateParams
-    update: GateParams
-    candidate: GateParams
+    """A cell's two filters as the joined matrices diffusion_conv takes, for
+    blocks b = s * max_steps + d in (support, step) order. w_ru [in_dim + units,
+    2 * units * B] holds block b's [W_r | W_u] in columns 2b*units to
+    (2b+2)*units, and b_ru is [b_r | b_u]; w_c holds block b's W_c in columns
+    b*units to (b+1)*units, and b_c is the candidate's bias."""
+
+    w_ru: Tensor
+    b_ru: Tensor
+    w_c: Tensor
+    b_c: Tensor
 
 
 @dataclass
@@ -118,12 +122,7 @@ class DcgruParams:
         out = []
         for stack_name, stack in (("enc", self.encoder), ("dec", self.decoder)):
             for layer, cell in enumerate(stack):
-                for gate_name, gate in (("r", cell.reset), ("u", cell.update),
-                                        ("c", cell.candidate)):
-                    for s, per_support in enumerate(gate.blocks):
-                        for d, block in enumerate(per_support):
-                            out.append((f"{stack_name}/l{layer}/{gate_name}/w_s{s}_d{d}", block))
-                    out.append((f"{stack_name}/l{layer}/{gate_name}/b", gate.bias))
+                out += [(f"{stack_name}/l{layer}/{name}", t) for name, t in vars(cell).items()]
         out.append(("proj/w", self.proj_w))
         out.append(("proj/b", self.proj_b))
         return out
@@ -144,39 +143,32 @@ class DcgruParams:
             t.value = v.astype(np.float64, copy=True)
 
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    r = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-r, r, size=(fan_in, fan_out))
+def _glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Glorot-uniform draws for blocks of shape [..., fan_in, fan_out]."""
+    r = math.sqrt(6.0 / (shape[-2] + shape[-1]))
+    return rng.uniform(-r, r, size=shape)
 
 
-def _init_gate(rng, in_dim: int, units: int, n_supports: int, steps: int,
-               bias_value: float) -> GateParams:
-    blocks = [[Tensor(_glorot(rng, in_dim + units, units)) for _ in range(steps)]
-              for _ in range(n_supports)]
-    return GateParams(blocks, Tensor(np.full(units, bias_value)))
+def _init_cell(rng: np.random.Generator, in_dim: int, units: int,
+               blocks: int) -> CellParams:
+    """One Glorot block per (gate, support, step), drawn in that order
+    (reset, update, candidate), then placed into the joined columns."""
+    rows = in_dim + units
+    w = _glorot(rng, (3, blocks, rows, units)).transpose(2, 1, 0, 3)  # rows, block, gate, unit
+    return CellParams(w_ru=Tensor(w[:, :, :2].reshape(rows, -1)), b_ru=Tensor(np.ones(2 * units)),
+                      w_c=Tensor(w[:, :, 2].reshape(rows, -1)), b_c=Tensor(np.zeros(units)))
 
 
 def init_params(config: Seq2SeqConfig, seed: int) -> DcgruParams:
     """Glorot-uniform filters; reset/update biases 1, candidate bias 0."""
     rng = np.random.default_rng(seed)
+    blocks = config.n_supports * config.max_diffusion_steps
     params = DcgruParams(config)
-    for stack, first_dim in (("enc", config.input_dim), ("dec", config.output_dim)):
-        cells = []
-        for layer in range(config.layers):
-            in_dim = first_dim if layer == 0 else config.units
-            cells.append(CellParams(
-                reset=_init_gate(rng, in_dim, config.units, config.n_supports,
-                                 config.max_diffusion_steps, 1.0),
-                update=_init_gate(rng, in_dim, config.units, config.n_supports,
-                                  config.max_diffusion_steps, 1.0),
-                candidate=_init_gate(rng, in_dim, config.units, config.n_supports,
-                                     config.max_diffusion_steps, 0.0),
-            ))
-        if stack == "enc":
-            params.encoder = cells
-        else:
-            params.decoder = cells
-    params.proj_w = Tensor(_glorot(rng, config.units, config.output_dim))
+    params.encoder, params.decoder = (  # the encoder's cells are drawn first
+        [_init_cell(rng, first_dim if layer == 0 else config.units, config.units, blocks)
+         for layer in range(config.layers)]
+        for first_dim in (config.input_dim, config.output_dim))
+    params.proj_w = Tensor(_glorot(rng, (config.units, config.output_dim)))
     params.proj_b = Tensor(np.zeros(config.output_dim))
     return params
 
@@ -192,14 +184,6 @@ def _sigmoid(out: np.ndarray) -> None:
     with np.errstate(over="ignore"):
         np.exp(np.negative(out, out=out), out=out)
     np.divide(1.0, np.add(1.0, out, out=out), out=out)
-
-
-def _blocks(gates: Sequence[GateParams]) -> list[Tensor]:
-    """The gates' weight blocks in (support, step, gate) order, the column
-    order of the joined weights that diffusion_conv takes."""
-    per_support = gates[0].blocks
-    return [g.blocks[s][d] for s in range(len(per_support))
-            for d in range(len(per_support[s])) for g in gates]
 
 
 def _columns(a: np.ndarray, width: int) -> list[np.ndarray]:
@@ -252,8 +236,8 @@ def dcgru_cell(tape: Tape, x_t: Tensor, h_prev: Tensor, supports: DiffusionSuppo
                cell: CellParams) -> Tensor:
     """One recurrent step, recorded as one tape op with a hand-derived backward.
 
-    Reset and update gates share one filter over [x, h] with their blocks
-    joined as [W_r | W_u]; the candidate filters [x, r*h]; the state is the
+    Reset and update gates share one filter over [x, h], `cell.w_ru`, whose
+    blocks are [W_r | W_u]; the candidate filters [x, r*h]; the state is the
     convex blend u*h + (1-u)*c. Backward keeps only ru and c beside the
     inputs, and rebuilds [x, h] and [x, r*h] from them. ru, c and the new
     state are written into `tape.buffer`s, which on a recording tape are
@@ -261,17 +245,14 @@ def dcgru_cell(tape: Tape, x_t: Tensor, h_prev: Tensor, supports: DiffusionSuppo
     """
     x, h = x_t.value, h_prev.value
     in_dim, units = x.shape[-1], h.shape[-1]
-    ru_blocks, c_blocks = _blocks((cell.reset, cell.update)), _blocks((cell.candidate,))
-    w_ru = np.concatenate([b.value for b in ru_blocks], axis=1)
-    w_c = np.concatenate([b.value for b in c_blocks], axis=1)
+    w_ru, w_c = cell.w_ru.value, cell.w_c.value
     lead = h.shape[:-1]
     ru = np.add(diffusion_conv(supports, np.concatenate([x, h], axis=-1), w_ru),
-                np.concatenate([cell.reset.bias.value, cell.update.bias.value]),
-                out=tape.buffer(lead + (2 * units,)))
+                cell.b_ru.value, out=tape.buffer(lead + (2 * units,)))
     _sigmoid(ru)
     r, u = ru[..., :units], ru[..., units:]
     c = np.add(diffusion_conv(supports, np.concatenate([x, r * h], axis=-1), w_c),
-               cell.candidate.bias.value, out=tape.buffer(lead + (units,)))
+               cell.b_c.value, out=tape.buffer(lead + (units,)))
     np.tanh(c, out=c)
     blend = 1.0 - u
     blend *= c
@@ -290,12 +271,10 @@ def dcgru_cell(tape: Tape, x_t: Tensor, h_prev: Tensor, supports: DiffusionSuppo
                                                w_ru, d_ru, tape.workspace)
         return (d_xh[..., :in_dim] + d_xrh[..., :in_dim],
                 d_xh[..., in_dim:] + d_rh * r + g * u,
-                *_columns(dw_ru, units), *_columns(dw_c, units),
-                *_columns(d_ru.reshape(-1, 2 * units).sum(axis=0), units),
-                dc.reshape(-1, units).sum(axis=0))
+                dw_ru, d_ru.reshape(-1, 2 * units).sum(axis=0),
+                dw_c, dc.reshape(-1, units).sum(axis=0))
 
-    return tape.op(out, (x_t, h_prev, *ru_blocks, *c_blocks, cell.reset.bias,
-                         cell.update.bias, cell.candidate.bias), backward)
+    return tape.op(out, (x_t, h_prev, cell.w_ru, cell.b_ru, cell.w_c, cell.b_c), backward)
 
 
 def _zero_states(tape: Tape, batch: int, nodes: int, layers: int, units: int) -> list[Tensor]:

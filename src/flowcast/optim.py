@@ -36,15 +36,13 @@ class AdamState:
 
 def adam_step(params, grads, state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    """One bias-corrected Adam update. Parameter arrays are updated in place."""
-    if not state.m:
-        state.m = [np.zeros_like(p) for p in params]
-        state.v = [np.zeros_like(p) for p in params]
+    """One bias-corrected Adam update of the parameter arrays, in place; state
+    is AdamState.for_params(params), and a list of another length raises ValueError."""
     state.step += 1
     t = state.step
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for p, g, m, v in zip(params, grads, state.m, state.v, strict=True):
         m *= beta1
         m += (1.0 - beta1) * g
         v *= beta2

@@ -39,6 +39,7 @@ _BLOCK_ROWS = 4096
 # Windows per forecast() call and per partial error sum in evaluate(); the MAE's
 # bits depend on it, as the sums are added in this grouping.
 _EVAL_BATCH = 256
+_CHECKPOINT_FORMAT = "flowcast-checkpoint-v2"  # v2: four arrays per cell (model.CellParams)
 MODE_FEATURES = {"speed_only": ("speed",), "flow_only": ("flow",),
                  "multioutput": ("speed", "flow")}  # each mode's input = output features
 
@@ -148,7 +149,7 @@ class Checkpoint:
 
     def save(self, path) -> None:
         meta = {
-            "format": "flowcast-checkpoint-v1",
+            "format": _CHECKPOINT_FORMAT,
             "config": self.config.__dict__,
             "param_names": self.param_names,
             "scaler": {"means": list(self.scaler.means), "stds": list(self.scaler.stds),
@@ -173,7 +174,10 @@ class Checkpoint:
     @classmethod
     def load(cls, path) -> "Checkpoint":
         arrays, meta = read_array_container(path)
-        if meta.get("format") != "flowcast-checkpoint-v1":
+        if meta.get("format") == "flowcast-checkpoint-v1":
+            raise DataError(f"{path}: a v1 checkpoint stores one array per weight block; "
+                            f"retrain it to write {_CHECKPOINT_FORMAT}")
+        if meta.get("format") != _CHECKPOINT_FORMAT:
             raise DataError(f"{path}: not a flowcast checkpoint")
         try:
             config = Seq2SeqConfig(**meta["config"])

@@ -8,9 +8,9 @@ for their vectorized replacements, and so is the previous halo selection,
 which ranks every node by one provider call per pair, the previous tape
 walk, which keeps every record and every intermediate gradient, the
 previous DCGRU cell, composed of per-primitive tape records over a stack of
-diffused inputs, the previous graph file encoding, which converts each
-edge field on its own, and the previous time-series CSV reader and writer,
-which go row by row.
+diffused inputs, with the previous per-block parameter draw, the previous
+graph file encoding, which converts each edge field on its own, and the
+previous time-series CSV reader and writer, which go row by row.
 The last section holds small readers that only tests need: one edge weight,
 a CSR matrix from a dense array, an identity support, a box's interquartile
 range, a run report's per-epoch loss curves, a bundle's owned nodes and the
@@ -416,8 +416,11 @@ def assert_backward_matches_oracle(tape, loss) -> dict[int, np.ndarray]:
 # the previous DCGRU cell: one tape record per primitive
 # ----------------------------------------------------------------------
 # Kept as the oracle for model.dcgru_cell, which records one op per step and
-# applies each gate's weights before diffusing. ComposedTape adds back the
-# primitives that only this cell used.
+# applies each filter's joined weights before diffusing. It takes each gate as
+# the previous parameter layout stored it: one weight block per (support,
+# step) and a bias. ComposedTape adds back the primitives that only this cell
+# used. The previous init_params, which drew one array per such block, is
+# kept as the oracle for the joined draw.
 
 
 class ComposedTape(Tape):
@@ -459,24 +462,66 @@ def diffused_stack(tape: ComposedTape, supports, z: Tensor) -> Tensor:
 
 def gate_from_stack(tape: ComposedTape, stack: Tensor, gate) -> Tensor:
     """The filter on a diffused stack, with the per-step blocks stacked row-wise."""
-    blocks = [block for per_support in gate.blocks for block in per_support]
+    blocks, bias = gate
     w = blocks[0] if len(blocks) == 1 else tape.concat(blocks, axis=0)
-    return tape.add_bias(tape.matmul(stack, w), gate.bias)
+    return tape.add_bias(tape.matmul(stack, w), bias)
 
 
 def composed_cell(tape: ComposedTape, x_t: Tensor, h_prev: Tensor, supports,
-                  cell) -> Tensor:
-    """One recurrent step: reset/update gates, candidate state, convex blend."""
+                  gates) -> Tensor:
+    """One recurrent step: reset/update gates, candidate state, convex blend.
+
+    gates is (reset, update, candidate), each a (blocks, bias) pair whose
+    blocks are one Tensor per (support, step), in that order.
+    """
+    reset, update, candidate = gates
     xh = tape.concat([x_t, h_prev])
     xh_stack = diffused_stack(tape, supports, xh)
-    r = tape.sigmoid(gate_from_stack(tape, xh_stack, cell.reset))
-    u = tape.sigmoid(gate_from_stack(tape, xh_stack, cell.update))
+    r = tape.sigmoid(gate_from_stack(tape, xh_stack, reset))
+    u = tape.sigmoid(gate_from_stack(tape, xh_stack, update))
     xrh = tape.concat([x_t, tape.hadamard(r, h_prev)])
-    c = tape.tanh(gate_from_stack(tape, diffused_stack(tape, supports, xrh), cell.candidate))
+    c = tape.tanh(gate_from_stack(tape, diffused_stack(tape, supports, xrh), candidate))
     h = tape.add(tape.hadamard(u, h_prev), tape.hadamard(tape.sub_from_one(u), c))
     if not np.isfinite(h.value).all():
         raise NumericalError("numerical divergence")
     return h
+
+
+def per_gate(w_ru, b_ru, w_c, b_c):
+    """A cell's joined arrays (model.CellParams order) as the previous layout:
+    (reset, update, candidate), each ([one column view per (support, step)],
+    bias view)."""
+    units = b_c.shape[-1]
+    ru = [w_ru[:, i:i + units] for i in range(0, w_ru.shape[1], units)]  # r, u, r, u, ...
+    c = [w_c[:, i:i + units] for i in range(0, w_c.shape[1], units)]
+    return (ru[0::2], b_ru[:units]), (ru[1::2], b_ru[units:]), (c, b_c)
+
+
+def joined(gates) -> list[np.ndarray]:
+    """[w_ru, b_ru, w_c, b_c] of per-gate (blocks, bias) pairs: per_gate's inverse."""
+    (r, b_r), (u, b_u), (c, b_c) = gates
+    return [np.concatenate([w for pair in zip(r, u) for w in pair], axis=1),
+            np.concatenate([b_r, b_u]), np.concatenate(c, axis=1), b_c]
+
+
+def per_block_init(config, seed: int) -> list[np.ndarray]:
+    """The previous init_params draw, one Glorot block per (stack, layer, gate,
+    support, step) in that order, then the projection; returned joined, in
+    DcgruParams.named() order."""
+    rng = np.random.default_rng(seed)
+    units, blocks = config.units, config.n_supports * config.max_diffusion_steps
+
+    def glorot(fan_in, fan_out):
+        r = math.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-r, r, size=(fan_in, fan_out))
+
+    values = []
+    for first_dim in (config.input_dim, config.output_dim):
+        for layer in range(config.layers):
+            rows = (first_dim if layer == 0 else units) + units
+            values += joined([([glorot(rows, units) for _ in range(blocks)], np.full(units, bias))
+                              for bias in (1.0, 1.0, 0.0)])
+    return values + [glorot(units, config.output_dim), np.zeros(config.output_dim)]
 
 
 # ----------------------------------------------------------------------

@@ -509,7 +509,8 @@ def test_out_of_range_settings_exit_2(trained, capsys, tmp_path, command, key, v
                                         "first 12 bytes only", "config units=8",
                                         "config input_dim=2", "config units=0",
                                         "config layers=0", "config max_diffusion_steps=0",
-                                        "p0001 1-d", "p0000 transposed", "n_supports 0",
+                                        "enc/l0/w_c 1-d", "enc/l0/w_ru transposed",
+                                        "n_supports 0",
                                         "one scaler mean"])
 def test_corrupt_checkpoint_exits_3(trained, capsys, tmp_path, corruption):
     root, config = trained
@@ -522,8 +523,9 @@ def test_corrupt_checkpoint_exits_3(trained, capsys, tmp_path, corruption):
     shutil.copytree(root / "out", out_dir)
     path = out_dir / "checkpoints" / "part000.fcbin"
     arrays, meta = read_array_container(path)
+    array_of = {name: f"p{i:04d}" for i, name in enumerate(meta["param_names"])}
     if corruption == "missing_array":
-        del arrays["p0001"]
+        del arrays[array_of["enc/l0/b_ru"]]
     elif corruption == "index_out_of_range":
         arrays["s0_indices"][0] = -1
     elif corruption == "short_halo_flags":
@@ -533,10 +535,10 @@ def test_corrupt_checkpoint_exits_3(trained, capsys, tmp_path, corruption):
     elif corruption.startswith("config "):  # a config that the stored parameters do not fit
         key, value = corruption[len("config "):].split("=")
         meta["config"][key] = int(value)
-    elif corruption == "p0001 1-d":
-        arrays["p0001"] = arrays["p0001"].ravel()
-    elif corruption == "p0000 transposed":
-        arrays["p0000"] = np.ascontiguousarray(arrays["p0000"].T)
+    elif corruption.endswith((" 1-d", " transposed")):  # a 2-d weight of another shape
+        name, fault = corruption.split()
+        a = arrays[array_of[name]]
+        arrays[array_of[name]] = a.ravel() if fault == "1-d" else np.ascontiguousarray(a.T)
     elif corruption == "n_supports 0":
         meta["n_supports"] = 0
     elif corruption == "one scaler mean":  # exited 0, scaling by the wrong mean
@@ -555,6 +557,28 @@ def test_corrupt_checkpoint_exits_3(trained, capsys, tmp_path, corruption):
     code = main(["evaluate", "--config", config, "--set", f"paths.output_dir={out_dir}"])
     out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert code == 3 and out["kind"] == "data" and "part000" in out["message"]
+
+
+def test_v1_checkpoint_exits_3(trained, capsys, tmp_path):
+    # v1 stored one array per (gate, support, step) block; it is not converted
+    root, config = trained
+    import shutil
+
+    from flowcast.data import read_array_container, write_array_container
+
+    out_dir = tmp_path / "out"
+    shutil.copytree(root / "out", out_dir)
+    path = out_dir / "checkpoints" / "part000.fcbin"
+    arrays, meta = read_array_container(path)
+    assert meta["format"] == "flowcast-checkpoint-v2"
+    meta["format"] = "flowcast-checkpoint-v1"
+    write_array_container(path, arrays, meta)
+    code = main(["evaluate", "--config", config, "--set", f"paths.output_dir={out_dir}"])
+    lines = capsys.readouterr().out.strip().splitlines()
+    out = json.loads(lines[-1])
+    assert code == 3 and out["kind"] == "data" and len(lines) == 1
+    assert "part000" in out["message"] and "v1" in out["message"]
+    assert "retrain" in out["message"]
 
 
 @pytest.mark.parametrize("command", ["evaluate", "forecast"])
@@ -579,7 +603,7 @@ def test_non_finite_checkpoint_exits_3(trained, capsys, tmp_path, command, corru
     arrays, meta = read_array_container(path)
     bad = math.nan if "nan" in corruption else math.inf
     if corruption.startswith("parameter"):
-        arrays["p0002"].flat[1] = bad
+        arrays[f"p{meta['param_names'].index('enc/l0/w_c'):04d}"].flat[1] = bad
     elif corruption.startswith("support"):
         arrays["s0_data"][3] = bad
     elif corruption.startswith("std"):

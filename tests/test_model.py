@@ -8,12 +8,13 @@ import pytest
 from flowcast.autodiff import Tape, Tensor, Workspace, grads_for
 from flowcast.errors import NumericalError
 from flowcast.graph import SensorGraph
-from flowcast.model import (CellParams, GateParams, Seq2SeqConfig,
-                            build_supports, dcgru_cell, decode, diffusion_conv, encode,
-                            init_params, loss_multi, predict, seq2seq_loss)
+from flowcast.model import (CellParams, Seq2SeqConfig, build_supports, dcgru_cell, decode,
+                            diffusion_conv, encode, init_params, loss_multi, predict,
+                            seq2seq_loss)
 from flowcast.optim import AdamState, adam_step, clip_by_global_norm
 from oracles import (ComposedTape, assert_backward_matches_oracle, assert_grads_close,
-                     composed_cell, csr_from_dense, dense_diffusion, finite_difference)
+                     composed_cell, csr_from_dense, dense_diffusion, finite_difference,
+                     joined, per_block_init, per_gate)
 
 
 def graph_of(dense) -> SensorGraph:
@@ -52,10 +53,6 @@ def test_build_supports_isolated_node():
 # ----------------------------------------------------------------------
 # diffusion convolution
 # ----------------------------------------------------------------------
-
-
-def _gate(blocks, bias) -> GateParams:
-    return GateParams([[Tensor(b) for b in per] for per in blocks], Tensor(bias))
 
 
 def _joined(blocks) -> np.ndarray:
@@ -106,20 +103,21 @@ def test_diffusion_conv_matches_dense_oracle():
 # ----------------------------------------------------------------------
 
 
+def _cell(gates) -> CellParams:
+    """A cell from (reset, update, candidate), each ([one block per (support,
+    step)], bias), joined into columns."""
+    return CellParams(*(Tensor(a) for a in joined(gates)))
+
+
 def _manual_cell(units, in_dim, n_supports, steps, fill=0.0, bias_r=0.0, bias_u=0.0,
                  bias_c=0.0, rng=None):
     def blocks():
         if rng is None:
-            return [[np.full((in_dim + units, units), fill) for _ in range(steps)]
-                    for _ in range(n_supports)]
-        return [[rng.normal(size=(in_dim + units, units)) * 0.5 for _ in range(steps)]
-                for _ in range(n_supports)]
+            return [np.full((in_dim + units, units), fill) for _ in range(n_supports * steps)]
+        return [rng.normal(size=(in_dim + units, units)) * 0.5
+                for _ in range(n_supports * steps)]
 
-    return CellParams(
-        reset=_gate(blocks(), np.full(units, bias_r)),
-        update=_gate(blocks(), np.full(units, bias_u)),
-        candidate=_gate(blocks(), np.full(units, bias_c)),
-    )
+    return _cell([(blocks(), np.full(units, bias)) for bias in (bias_r, bias_u, bias_c)])
 
 
 def test_cell_saturated_update_gate_keeps_state():
@@ -139,11 +137,9 @@ def test_cell_open_update_gate_returns_candidate():
     units, in_dim = 1, 1
     w_d0 = np.array([[2.0], [0.5]])   # acts on [x, h_prev]
     w_d1 = np.array([[-1.0], [0.25]])
-    cell = CellParams(
-        reset=_gate([[np.zeros((2, 1)), np.zeros((2, 1))]], np.array([1e9])),
-        update=_gate([[np.zeros((2, 1)), np.zeros((2, 1))]], np.array([-1e9])),
-        candidate=_gate([[w_d0, w_d1]], np.array([0.3])),
-    )
+    zero = [np.zeros((2, 1)), np.zeros((2, 1))]
+    cell = _cell([(zero, np.array([1e9])), (zero, np.array([-1e9])),
+                  ([w_d0, w_d1], np.array([0.3]))])
     x = np.array([[[0.7], [-0.2]]])
     h_prev = np.array([[[0.1], [0.4]]])
     h = dcgru_cell(Tape(), Tensor(x), Tensor(h_prev), sup, cell)
@@ -161,6 +157,17 @@ def test_cell_zeros_fixed_point():
     cell = _manual_cell(2, 1, 1, 1)  # all weights and biases zero
     h = dcgru_cell(Tape(), Tensor(np.zeros((1, 2, 1))), Tensor(np.zeros((1, 2, 2))), sup, cell)
     assert np.array_equal(h.value, np.zeros((1, 2, 2)))
+
+
+def test_cell_step_is_one_record_over_its_inputs_and_four_arrays():
+    g = graph_of([[0.0, 1.0], [1.0, 0.0]])
+    sup = build_supports(g, "dual_random_walk", max_steps=2)
+    cell = _manual_cell(2, 1, 2, 2, fill=0.1)
+    assert [a.value.shape for a in vars(cell).values()] == [(3, 16), (4,), (3, 8), (2,)]
+    tape, x, h = Tape(), Tensor(np.ones((1, 2, 1))), Tensor(np.zeros((1, 2, 2)))
+    dcgru_cell(tape, x, h, sup, cell)
+    [(_, inputs, _)] = tape._records
+    assert inputs == (x.uid, h.uid, cell.w_ru.uid, cell.b_ru.uid, cell.w_c.uid, cell.b_c.uid)
 
 
 def test_cell_flags_numerical_divergence():
@@ -193,30 +200,63 @@ def test_cell_matches_composed_oracle(filter_type, steps, in_dim, batch):
     np.fill_diagonal(dense, 0.0)
     sup = build_supports(graph_of(dense), filter_type, max_steps=steps)
     cell = _manual_cell(units, in_dim, sup.n_supports, steps, rng=rng)
-    for gate in (cell.reset, cell.update, cell.candidate):
-        gate.bias.value = rng.normal(size=units) * 0.3
+    cell.b_ru.value = rng.normal(size=2 * units) * 0.3
+    cell.b_c.value = rng.normal(size=units) * 0.3
+    # the oracle's gates: per-gate, per-(support, step) column views of the cell's arrays
+    gates = [([Tensor(b) for b in blocks], Tensor(bias))
+             for blocks, bias in per_gate(*(t.value for t in vars(cell).values()))]
     x_leaf = Tensor(rng.normal(size=(batch, n, in_dim)))
     scale = Tensor(rng.normal(size=(batch, n, in_dim)))
     h0 = Tensor(rng.normal(size=(batch, n, units)) * 0.5)
     weight = rng.normal(size=(batch, n, units))
-    leaves = [x_leaf, scale, h0] + [
-        t for gate in (cell.reset, cell.update, cell.candidate)
-        for t in [b for per in gate.blocks for b in per] + [gate.bias]]
 
-    def run(tape, step):
+    def flat(gates):
+        return [a for blocks, bias in gates for a in (*blocks, bias)]
+
+    def run(tape, step, params, leaves):
         x = tape.hadamard(x_leaf, scale)
-        h = step(tape, x, step(tape, x, h0, sup, cell), sup, cell)
+        h = step(tape, x, step(tape, x, h0, sup, params), sup, params)
         # the target lies below every output, so d loss / d h = weight / size
         loss = tape.mean_abs(tape.hadamard(h, tape.constant(weight)),
                              tape.constant(np.full(h.value.shape, -1e3)))
-        return h.value, grads_for(tape.backward(loss), leaves)
+        return h.value, grads_for(tape.backward(loss), [x_leaf, scale, h0, *leaves])
 
-    got_h, got = run(Tape(), dcgru_cell)
-    want_h, want = run(ComposedTape(), composed_cell)
+    got_h, got = run(Tape(), dcgru_cell, cell, vars(cell).values())
+    want_h, want = run(ComposedTape(), composed_cell, gates, flat(gates))
     _assert_close_relative(got_h, want_h)
+    got = got[:3] + flat(per_gate(*got[3:]))  # each leaf of the oracle, in its columns
+    assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.shape == w.shape
         _assert_close_relative(g, w)
+
+
+# ----------------------------------------------------------------------
+# parameters
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("filter_type", ["random_walk", "dual_random_walk"])
+@pytest.mark.parametrize("steps", [1, 2, 3])
+@pytest.mark.parametrize("input_dim", [1, 2])
+@pytest.mark.parametrize("output_dim", [1, 2])
+def test_init_params_equals_the_per_block_draw_in_columns(filter_type, steps, input_dim,
+                                                          output_dim):
+    # a seed keeps its weights: the joined draw equals the previous one array
+    # per (gate, support, step), placed into the joined columns
+    cfg = Seq2SeqConfig(input_dim=input_dim, output_dim=output_dim, layers=2, units=3,
+                        max_diffusion_steps=steps, filter_type=filter_type)
+    got, want = init_params(cfg, seed=11).values(), per_block_init(cfg, seed=11)
+    assert len(got) == len(want) == 18
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.array_equal(g, w)
+
+
+def test_named_parameters_are_four_arrays_per_cell():
+    names = [name for name, _ in init_params(Seq2SeqConfig(), seed=0).named()]
+    assert names == [f"{stack}/l{layer}/{array}" for stack in ("enc", "dec")
+                     for layer in range(2) for array in ("w_ru", "b_ru", "w_c", "b_c")
+                     ] + ["proj/w", "proj/b"]
 
 
 # ----------------------------------------------------------------------
@@ -269,8 +309,8 @@ def test_encode_zero_input_zero_bias_gives_zero_states():
     g, cfg, sup, params, _ = _tiny_setup(layers=2)
     for stack in (params.encoder, params.decoder):
         for cell in stack:
-            for gate in (cell.reset, cell.update, cell.candidate):
-                gate.bias.value = np.zeros_like(gate.bias.value)
+            for bias in (cell.b_ru, cell.b_c):
+                bias.value = np.zeros_like(bias.value)
     states = encode(Tape(), np.zeros((1, 3, 4, 1)), sup, params)
     for s in states:
         assert np.array_equal(s.value, np.zeros_like(s.value))

@@ -558,3 +558,17 @@ def test_adam_matches_reference_update():
     for g in gs:
         adam_step([p], [np.array([g])], state, lr=lr, beta1=b1, beta2=b2, eps=eps)
     assert p[0] == pytest.approx(p_ref, abs=1e-12)
+
+
+@pytest.mark.parametrize("short", ["grads", "moments"])
+def test_adam_rejects_lists_of_unequal_length(short):
+    # a shorter list used to leave the trailing parameters silently un-updated
+    params = [np.ones(2), np.ones(3)]
+    grads = [np.ones(2), np.ones(3)]
+    state = AdamState.for_params(params)
+    if short == "grads":
+        grads.pop()
+    else:
+        state = AdamState.for_params(params[:1])
+    with pytest.raises(ValueError):
+        adam_step(params, grads, state, lr=0.1)
